@@ -200,14 +200,11 @@ class MultiOperandAdder:
                 self.dbc.tick(1, "carry_write")
             cycles = self.dbc.stats.cycles - before
             span.annotate(cycles=cycles)
+        sums = self.dbc.peek_window_slot(self._sum_slot())
         values = []
         for b in range(blocks):
             base = start_track + b * stride
-            bits = [
-                self.dbc.peek_window_slot(self._sum_slot())[base + i]
-                for i in range(result_bits)
-            ]
-            values.append(bits_to_int(bits))
+            values.append(bits_to_int(sums[base:base + result_bits]))
         return AdditionResult(values=values, cycles=cycles, staging_cycles=0)
 
     def add_words(
@@ -252,17 +249,13 @@ class MultiOperandAdder:
             raise AssertionError(
                 "super carry cannot occur when counts stay below 4"
             )
-        lo, _ = self.dbc.window
-        energy = self.dbc.params.write.energy_pj
-        self.dbc.wires[track].poke_physical(lo, s)
-        self.dbc.stats.record("write_bit", 0, energy)
+        # S and C' land under the left head (port 0), C under the right
+        # head (port 1), which sits at the carry slot.
+        self.dbc.write_bit(track, 0, s)
         if track + 1 < block_end:
-            hi = lo + self.carry_slot
-            self.dbc.wires[track + 1].poke_physical(hi, c)
-            self.dbc.stats.record("write_bit", 0, energy)
+            self.dbc.write_bit(track + 1, 1, c)
         if self.uses_super_carry and track + 2 < block_end:
-            self.dbc.wires[track + 2].poke_physical(lo, c_prime)
-            self.dbc.stats.record("write_bit", 0, energy)
+            self.dbc.write_bit(track + 2, 0, c_prime)
 
     def _check_operand_count(self, k: int) -> int:
         if not 1 <= k <= self.max_operands:
@@ -283,7 +276,5 @@ class MultiOperandAdder:
         self, slot: int, bits: Sequence[int], start: int, width: int
     ) -> None:
         """Set window slot ``slot`` over the block, zero-filling past bits."""
-        row = self.dbc.peek_window_slot(slot)
-        for i in range(width):
-            row[start + i] = bits[i] if i < len(bits) else 0
-        self.dbc.poke_window_slot(slot, row)
+        block = list(bits[:width]) + [0] * (width - len(bits))
+        self.dbc.poke_window_slot(slot, block, start=start)

@@ -86,7 +86,7 @@ class MaxUnit:
         """
         if not use_transverse_write:
             needed = self.trd * n_bits
-            room = self.dbc.wires[0].overhead_right - self.dbc.wires[0].offset
+            room = self.dbc.overhead_right - self.dbc.commanded_offset
             if room < needed:
                 raise ValueError(
                     f"the pre-TW variant migrates the word block "

@@ -134,10 +134,7 @@ class RedundantAdder:
                 dbc.tick(1, "step_vote")
         sums = []
         for dbc in self.replicas:
-            bits = [
-                dbc.peek_window_slot(0)[i] for i in range(n_bits)
-            ]
-            sums.append(bits_to_int(bits))
+            sums.append(bits_to_int(dbc.peek_window_slot(0)[:n_bits]))
         # All replicas hold the same scrubbed value; majority anyway.
         voted = self._vote_value(sums, n_bits)
         cycles = 3 * n_bits  # TR + write + vote per bit, lockstep

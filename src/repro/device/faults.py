@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,29 @@ class FaultInjector:
 
     def perturb_tr_level(self, level: int, max_level: int) -> int:
         """Possibly misread a TR level by +/-1, clamped to [0, max_level]."""
-        if self.config.tr_fault_rate == 0.0:
+        rate = self.config.tr_fault_rate
+        if rate == 0.0 or self._rng.random() >= rate:
             return level
-        if self._rng.random() >= self.config.tr_fault_rate:
-            return level
+        return self._misread(level, max_level)
+
+    def perturb_tr_levels(
+        self, levels: Sequence[int], max_level: int
+    ) -> List[int]:
+        """:meth:`perturb_tr_level` over ``levels``, in order.
+
+        Makes exactly the draws one call per level would make, so a
+        batch of tracks and a loop over them leave the RNG in one state.
+        """
+        rate = self.config.tr_fault_rate
+        if rate == 0.0:
+            return list(levels)
+        draw = self._rng.random
+        return [
+            level if draw() >= rate else self._misread(level, max_level)
+            for level in levels
+        ]
+
+    def _misread(self, level: int, max_level: int) -> int:
         self.tr_faults_injected += 1
         if level == 0:
             return 1
@@ -88,10 +107,23 @@ class FaultInjector:
         ``amount`` is +1 or -1; a fault turns it into 0 (under-shift) or
         +/-2 (over-shift) with equal probability.
         """
-        if self.config.shift_fault_rate == 0.0:
+        rate = self.config.shift_fault_rate
+        if rate == 0.0 or self._rng.random() >= rate:
             return amount
-        if self._rng.random() >= self.config.shift_fault_rate:
-            return amount
+        return self._misshift(amount)
+
+    def perturb_shifts(self, amount: int, steps: int) -> List[int]:
+        """:meth:`perturb_shift` ``steps`` times, with the same draws."""
+        rate = self.config.shift_fault_rate
+        if rate == 0.0:
+            return [amount] * steps
+        draw = self._rng.random
+        return [
+            amount if draw() >= rate else self._misshift(amount)
+            for _ in range(steps)
+        ]
+
+    def _misshift(self, amount: int) -> int:
         self.shift_faults_injected += 1
         if self._rng.random() < 0.5:
             return 0

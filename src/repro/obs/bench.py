@@ -16,6 +16,7 @@ Schema history:
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from typing import Any, Callable, Dict, List, Tuple
@@ -74,9 +75,7 @@ def bench_kernel(
             geometry=MemoryGeometry(tracks_per_dbc=64),
             telemetry=hub,
         )
-        t0 = time.perf_counter()
-        run(system)
-        wall.append(time.perf_counter() - t0)
+        wall.append(_timed(run, system))
         counters = hub.metrics.as_dict()["counters"]
         observed = {
             "sim_cycles": counters.get("device.cycles", 0),
@@ -125,6 +124,24 @@ def bench_kernel(
         "wall_seconds_mean": sum(wall) / len(wall),
         "wall_seconds_median": statistics.median(wall),
     }
+
+
+def _timed(run: Callable[[Any], Any], system: Any) -> float:
+    """Wall seconds of one ``run(system)`` call, garbage collector paused.
+
+    As in :mod:`timeit`: a collection triggered by earlier allocations
+    would land inside one sub-millisecond kernel call and swing its time
+    by more than the regression band.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        run(system)
+        return time.perf_counter() - t0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def run_benchmarks(repeats: int = 3) -> Dict[str, Any]:

@@ -60,9 +60,13 @@ def rng_state_from_json(data: List) -> Tuple:
 
 def dbc_state(dbc: DomainBlockCluster) -> Dict[str, Any]:
     """Full track state of one cluster (domains + offsets) as JSON."""
+    commanded = dbc.commanded_offset
     return {
-        "wires": [list(wire.checkpoint()) for wire in dbc.wires],
-        "commanded_offset": dbc.commanded_offset,
+        "wires": [
+            [domains, offset, commanded]
+            for domains, offset in zip(dbc.track_domains(), dbc.offsets)
+        ],
+        "commanded_offset": commanded,
         "stats": device_stats_state(dbc.stats),
         "vote_stats": vote_stats_state(dbc.vote_stats),
     }
@@ -74,10 +78,13 @@ def restore_dbc_state(dbc: DomainBlockCluster, state: Dict[str, Any]) -> None:
         raise CheckpointMismatchError(
             f"checkpoint holds {len(wires)} tracks, cluster has {dbc.tracks}"
         )
-    for wire, saved in zip(dbc.wires, wires):
-        domains, offset, commanded = saved
-        wire.restore((list(domains), offset, commanded))
-    dbc._commanded_offset = state["commanded_offset"]
+    # Each entry is [domains, offset, commanded]; the cluster keeps one
+    # commanded offset, so the per-track copies are not read back.
+    dbc.load_tracks(
+        [saved[0] for saved in wires],
+        [saved[1] for saved in wires],
+        state["commanded_offset"],
+    )
     restore_device_stats(dbc.stats, state["stats"])
     dbc.vote_stats = SenseVoteStats(**state["vote_stats"])
 

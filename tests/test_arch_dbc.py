@@ -126,7 +126,7 @@ class TestTransverseOps:
 
     def test_overhead_override(self):
         dbc = make_dbc(tracks=2, overhead=(5, 100))
-        assert dbc.wires[0].overhead_right == 100
+        assert dbc.overhead_right == 100
 
 
 class TestLongNanowires:

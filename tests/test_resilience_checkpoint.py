@@ -8,6 +8,8 @@ round trip through JSON.
 
 import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointMismatchError,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def storm_config(seed=0, ops=60):
@@ -235,6 +239,55 @@ class TestCampaignResume:
         )
         with pytest.raises(CheckpointMismatchError):
             run_add_campaign(storm_config(seed=1), checkpoint_path=path)
+
+
+class TestCommittedJournal:
+    """A journal written before the DBC kept its tracks as a bit plane.
+
+    ``fixtures/campaign_checkpoint_v2.json`` was written by the engine
+    that held one Nanowire object per track, 12 ops into the campaign
+    below, with three storage tracks misaligned by shift faults; the
+    ``.expected.json`` file is that engine's uninterrupted summary.
+    """
+
+    CONFIG = CampaignConfig(
+        ops=30,
+        tracks=16,
+        tr_fault_rate=1e-2,
+        shift_fault_rate=2e-2,
+        seed=2,
+        recovery=True,
+        adaptive=True,
+        scrub_interval=8,
+        storm_ops=15,
+        calm_tr_fault_rate=1e-5,
+        storage_rows=4,
+    )
+
+    def test_resumes_to_the_recorded_result(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        shutil.copy(FIXTURES / "campaign_checkpoint_v2.json", path)
+        expected = json.loads(
+            (FIXTURES / "campaign_checkpoint_v2.expected.json").read_text()
+        )
+        resumed = resume_add_campaign(self.CONFIG, checkpoint_path=str(path))
+        assert resumed.completed
+        assert resumed.resumed_from == 12
+        summary = resumed.summary()
+        summary.pop("resumed_from")
+        assert summary == expected
+        assert run_add_campaign(self.CONFIG).summary() == expected
+
+    def test_journal_layout_is_unchanged(self, tmp_path):
+        recorded = json.loads(
+            (FIXTURES / "campaign_checkpoint_v2.json").read_text()
+        )
+        path = str(tmp_path / "campaign.json")
+        run_add_campaign(
+            self.CONFIG, checkpoint_path=path,
+            checkpoint_every=5, stop_after=12,
+        )
+        assert ckpt.load_checkpoint(path)["dbcs"] == recorded["dbcs"]
 
 
 class TestMonteCarloResume:

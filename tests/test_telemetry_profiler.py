@@ -79,6 +79,28 @@ class TestPhaseClassification:
     def test_classify_phase(self, function, phase):
         assert classify_phase(function) == phase
 
+    @pytest.mark.parametrize(
+        "helper,phase",
+        [
+            ("_shift_with_faults", PHASE_SHIFT),
+            ("_shift_tracks", PHASE_SHIFT),
+            ("_shift_columns", PHASE_SHIFT),
+            ("_sense", PHASE_TR),
+            ("_record_tr", PHASE_TR),
+            # Shared helpers name no phase, so the calling op decides.
+            ("_row_index", None),
+            ("_window_position", None),
+            ("_tr_window", None),
+            ("_sync_uniform_offset", None),
+            ("_check_row_width", None),
+        ],
+    )
+    def test_dbc_private_helpers_classify(self, helper, phase):
+        from repro.arch.dbc import DomainBlockCluster
+
+        assert callable(getattr(DomainBlockCluster, helper))
+        assert classify_phase(helper) == phase
+
     def test_innermost_frame_wins(self):
         # write (outer) vs shift (inner): the leaf decides.
         assert phase_of_stack(["main", "write_word", "shift"]) == PHASE_SHIFT
