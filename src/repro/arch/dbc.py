@@ -446,6 +446,35 @@ class DomainBlockCluster:
         column[position] = bit
         self.stats.record("write_bit", 0, self.params.write.energy_pj)
 
+    def write_bits(
+        self,
+        tracks: Sequence[int],
+        ports: Sequence[int],
+        bits: Sequence[int],
+    ) -> None:
+        """:meth:`write_bit` for each ``(tracks[i], ports[i], bits[i])``.
+
+        The writes of one addition step, as one call. They must hit
+        distinct cells. The stats end up exactly as after one
+        ``write_bit`` per entry: each write's energy is added on its own.
+        """
+        n = len(tracks)
+        if len(ports) != n or len(bits) != n:
+            raise ValueError(
+                f"tracks, ports and bits differ in length: "
+                f"{n}, {len(ports)}, {len(bits)}"
+            )
+        for bit in bits:
+            if bit not in (0, 1):
+                raise ValueError(f"expected bit 0 or 1, got {bit!r}")
+        plane = self._plane
+        port_at = self._ports
+        for track, port, bit in zip(tracks, ports, bits):
+            plane[port_at[port], track] = bit
+        self.stats.record_each(
+            "write_bit", 0, self.params.write.energy_pj, n
+        )
+
     def tick(self, cycles: int = 1, label: str = "tick") -> None:
         """Account cycles with no device activity (controller overhead)."""
         self.stats.record(label, cycles, 0.0)

@@ -14,20 +14,10 @@ in each :class:`BankState` and in the aggregate
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.timing import DDRTimings
-
-
-class BankPhase(enum.Enum):
-    """What a bank is doing."""
-
-    IDLE = "idle"
-    ACTIVATING = "activating"
-    OPEN = "open"
-    RESTORING = "restoring"  # precharge (DRAM) or shifting (DWM)
 
 
 @dataclass

@@ -17,11 +17,16 @@ the window holds two operands plus the carry slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.arch.dbc import DomainBlockCluster
 from repro.core.pim_logic import adder_outputs
 from repro.utils.bitops import bits_from_int, bits_to_int
+
+#: (S, C, C') of each TR level the PIM block encodes.
+_LEVEL_OUTPUTS = {level: adder_outputs(level) for level in range(8)}
+#: Ports of one block's first ``width`` step writes (S, C, C' in order).
+_STEP_PORTS = ((), (0,), (0, 1), (0, 1, 0))
 
 
 def max_addition_operands(trd: int) -> int:
@@ -181,6 +186,13 @@ class MultiOperandAdder:
         stride = block_stride or result_bits
         if blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {blocks}")
+        if stride < result_bits:
+            # Overlapping blocks would TR each other's tracks and
+            # overwrite each other's carries.
+            raise ValueError(
+                f"block_stride {stride} is smaller than result_bits "
+                f"{result_bits}: the blocks would overlap"
+            )
         last = start_track + (blocks - 1) * stride + result_bits
         if last > self.dbc.tracks:
             raise ValueError("blocks extend past the DBC's tracks")
@@ -193,11 +205,12 @@ class MultiOperandAdder:
                     start_track + b * stride + step for b in range(blocks)
                 ]
                 levels = self.dbc.transverse_read_tracks(tracks)
-                for b, (track, level) in enumerate(zip(tracks, levels)):
-                    s, c, c_prime = adder_outputs(level)
-                    block_end = start_track + b * stride + result_bits
-                    self._write_outputs(track, s, c, c_prime, block_end)
-                self.dbc.tick(1, "carry_write")
+                # adder_outputs raises for a level no table entry covers.
+                outputs = [
+                    _LEVEL_OUTPUTS.get(level) or adder_outputs(level)
+                    for level in levels
+                ]
+                self.write_step(tracks, outputs, result_bits - step)
             cycles = self.dbc.stats.cycles - before
             span.annotate(cycles=cycles)
         sums = self.dbc.peek_window_slot(self._sum_slot())
@@ -234,28 +247,48 @@ class MultiOperandAdder:
             staging_cycles=staging,
         )
 
+    def write_step(
+        self,
+        tracks: Sequence[int],
+        outputs: Sequence[Tuple[int, int, int]],
+        room: int,
+    ) -> None:
+        """Write one step's S/C/C' outputs: one batch, one cycle.
+
+        ``outputs[i]`` is the (S, C, C') of the block whose walk is at
+        ``tracks[i]``. S lands on that track and C' two tracks up, both
+        under the left head (port 0); C lands one track up under the
+        right head (port 1), which sits at the carry slot. ``room`` is
+        how many tracks every block has left from the step's track on,
+        so carries past a block's end are masked.
+        """
+        if not self.uses_super_carry:
+            for out in outputs:
+                if out[2]:
+                    raise AssertionError(
+                        "super carry cannot occur when counts stay below 4"
+                    )
+        width = min(room, 3 if self.uses_super_carry else 2)
+        if len(tracks) == 1:
+            # A single-block walk skips the comprehensions.
+            (track,) = tracks
+            targets = range(track, track + width)
+            bits = outputs[0][:width]
+        else:
+            targets = [
+                target for track in tracks
+                for target in range(track, track + width)
+            ]
+            bits = [bit for out in outputs for bit in out[:width]]
+        self.dbc.write_bits(targets, _STEP_PORTS[width] * len(tracks), bits)
+        self.dbc.tick(1, "carry_write")
+
     # ------------------------------------------------------------------
     # internals
 
     def _sum_slot(self) -> int:
         """Window slot where sum bits accumulate (the left head)."""
         return 0
-
-    def _write_outputs(
-        self, track: int, s: int, c: int, c_prime: int, block_end: int
-    ) -> None:
-        """Simultaneous S/C/C' writes of one step (one cycle, 3 ports)."""
-        if c_prime and not self.uses_super_carry:
-            raise AssertionError(
-                "super carry cannot occur when counts stay below 4"
-            )
-        # S and C' land under the left head (port 0), C under the right
-        # head (port 1), which sits at the carry slot.
-        self.dbc.write_bit(track, 0, s)
-        if track + 1 < block_end:
-            self.dbc.write_bit(track + 1, 1, c)
-        if self.uses_super_carry and track + 2 < block_end:
-            self.dbc.write_bit(track + 2, 0, c_prime)
 
     def _check_operand_count(self, k: int) -> int:
         if not 1 <= k <= self.max_operands:

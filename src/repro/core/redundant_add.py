@@ -126,9 +126,8 @@ class RedundantAdder:
             c = self._majority([o[1] for o in outputs])
             cp = self._majority([o[2] for o in outputs])
             votes += 1
-            for dbc, adder in zip(self.replicas, self.adders):
-                adder._write_outputs(step, s, c, cp, block_end=n_bits)
-                dbc.tick(1, "carry_write")
+            for adder in self.adders:
+                adder.write_step([step], [(s, c, cp)], n_bits - step)
             # The vote itself costs one extra cycle per step.
             for dbc in self.replicas:
                 dbc.tick(1, "step_vote")

@@ -52,6 +52,35 @@ class DeviceStats:
         if sink is not None:
             sink.device_op(op, total_cycles, total_energy, count)
 
+    def record_each(
+        self, op: str, cycles: int, energy_pj: float, count: int
+    ) -> None:
+        """Record ``count`` occurrences of ``op`` one at a time.
+
+        Leaves the stats, and an attached sink's counters, exactly as
+        ``count`` separate ``record(op, cycles, energy_pj)`` calls would:
+        the energy is added once per occurrence, because adding
+        ``energy_pj * count`` once rounds differently.
+        """
+        if count <= 0:
+            return
+        op_energy = self.op_energy_pj.get(op, 0.0)
+        energy = self.energy_pj
+        for _ in range(count):
+            op_energy += energy_pj
+            energy += energy_pj
+        self.op_counts[op] = self.op_counts.get(op, 0) + count
+        self.op_cycles[op] = self.op_cycles.get(op, 0) + cycles * count
+        self.op_energy_pj[op] = op_energy
+        self.cycles += cycles * count
+        self.energy_pj = energy
+        sink = self.sink
+        if sink is None:
+            sink = _telemetry._ACTIVE
+        if sink is not None:
+            for _ in range(count):
+                sink.device_op(op, cycles, energy_pj, 1)
+
     def merge(self, other: "DeviceStats") -> None:
         """Fold another stats object into this one (breakdowns included)."""
         for op, n in other.op_counts.items():

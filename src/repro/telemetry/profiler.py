@@ -415,27 +415,6 @@ def ledger_from_tracer(tracer) -> Dict[str, Dict[str, Any]]:
     return ledger
 
 
-def attribute_phases(metrics) -> Dict[str, int]:
-    """Phase cycle totals from the ``device.<op>.cycles`` counters."""
-    phases = {phase: 0 for phase in PHASES}
-    counters = metrics.as_dict()["counters"]
-    total = int(counters.get("device.cycles", 0))
-    attributed = 0
-    for name in sorted(counters):
-        parts = name.split(".")
-        if len(parts) == 3 and parts[0] == "device" \
-                and parts[2] == "cycles":
-            op = parts[1]
-            phase = OP_PHASES.get(op) or classify_phase(op) \
-                or PHASE_COMPUTE
-            cycles = int(counters[name])
-            phases[phase] += cycles
-            attributed += cycles
-    if total > attributed:
-        phases[PHASE_COMPUTE] += total - attributed
-    return phases
-
-
 # ----------------------------------------------------------------------
 # exporters
 
@@ -562,7 +541,6 @@ __all__ = [
     "PHASE_WRITE",
     "PROFILE_SCHEMA",
     "SamplingProfiler",
-    "attribute_phases",
     "classify_phase",
     "fold_tracer",
     "ledger_from_tracer",

@@ -114,6 +114,15 @@ class TestBlocks:
         with pytest.raises(ValueError):
             adder.run(2, result_bits=8, blocks=3, block_stride=8)
 
+    def test_overlapping_blocks_rejected(self):
+        # Each block would TR the other's tracks and overwrite its carries.
+        adder, dbc = make_adder(tracks=64)
+        adder.stage_words([10, 20], 8, start_track=0, zero_extend_to=8)
+        before = (dbc.snapshot(), dbc.stats.as_dict())
+        with pytest.raises(ValueError, match="overlap"):
+            adder.run(2, result_bits=8, blocks=2, block_stride=6)
+        assert (dbc.snapshot(), dbc.stats.as_dict()) == before
+
 
 class TestStagingValidation:
     def test_operand_must_fit(self):
