@@ -23,8 +23,16 @@ oracle for this engine.
 Fault draws stay per track. With a nonzero rate every track draws from
 the shared :class:`FaultInjector` in track order — step-major within a
 track for shifts, read-major for voted TRs — which is the order one
-wire at a time would draw in, so a seeded run repeats exactly. The rate
-is read on every operation because storm profiles switch it mid-run.
+wire at a time would draw in, so a seeded run repeats exactly. The
+injector's stream is CPython's MT19937 stream for ``random.Random(seed)``,
+bit for bit; batches only decide faster where it fires. A lockstep
+shift or TR first asks :meth:`FaultInjector.clean_draws` whether any of
+its draws fires: when none does, the draws are consumed and the
+operation completes with no per-track work; when one does, nothing is
+consumed and the per-track path makes the same draws one by one (as it
+does for every batch when a configured rate is above the injector's
+buffer cut-off). The rate is read on every operation because storm
+profiles switch it mid-run.
 
 Cost accounting happens at the cluster level: a lockstep operation across
 all X tracks costs one operation's latency but X tracks' energy; the
@@ -339,17 +347,18 @@ class DomainBlockCluster:
         the n-times cycle/energy cost at the batch level.
         """
         n = self.tr_vote_reads
-        faulty = self.injector.config.tr_fault_rate != 0.0
+        injector = self.injector
+        rate = injector.config.tr_fault_rate
         if n <= 1:
-            if faulty:
-                return self.injector.perturb_tr_levels(levels, size)
-            return levels
+            if rate == 0.0 or injector.clean_draws(rate, len(levels)):
+                return levels
+            return injector.perturb_tr_levels(levels, size)
         self.vote_stats.votes += len(levels)
-        if not faulty:
+        if rate == 0.0 or injector.clean_draws(rate, len(levels) * n):
             return levels
         # One track's n reads draw before the next track's.
         repeated = [level for level in levels for _ in range(n)]
-        reads = self.injector.perturb_tr_levels(repeated, size)
+        reads = injector.perturb_tr_levels(repeated, size)
         if reads == repeated:
             return levels
         winners = []
@@ -555,25 +564,42 @@ class DomainBlockCluster:
         """Shift under fault injection, drawing track by track.
 
         Each track draws for its ``count`` steps before the next track
-        draws. When even an over-shift on every step keeps every track
-        clear of its guard edges, the draws are made in one batch;
-        otherwise the tracks step one position at a time, and the first
-        one that would push a data domain off the wire raises
-        :class:`DataLossError` with no further draws.
+        draws: the draws are those of one ``random()`` per track and
+        step, and the injector's stream is CPython's MT19937 stream for
+        ``random.Random(seed)``, bit for bit; batches only decide faster
+        where it fires. When a fault-free shift keeps every track clear of its
+        guard edges and the injector finds that none of the
+        ``tracks * count`` draws fires, every track shifts by
+        ``direction * count`` in one call. Otherwise, when even an
+        over-shift on every step keeps every track clear, the draws are
+        made in one batch; failing that, the tracks step one position at
+        a time, and the first one that would push a data domain off the
+        wire raises :class:`DataLossError` with no further draws.
         """
-        start = self._offsets.tolist()
         lo, hi = -self.overhead_left, self.overhead_right
-        reach = 2 * count * direction
-        if lo <= min(start) + reach and max(start) + reach <= hi:
-            amounts = self.injector.perturb_shifts(
-                direction, self.tracks * count
+        move = direction * count
+        first = last = self._uniform_offset
+        if first is None:
+            first, last = int(self._offsets.min()), int(self._offsets.max())
+        injector = self.injector
+        if (
+            lo <= first + move
+            and last + move <= hi
+            and injector.clean_draws(
+                injector.config.shift_fault_rate, self.tracks * count
             )
+        ):
+            self._shift_tracks(move)
+            return
+        reach = 2 * move
+        if lo <= first + reach and last + reach <= hi:
+            amounts = injector.perturb_shifts(direction, self.tracks * count)
             moves = np.asarray(amounts, dtype=np.int64)
             self._shift_tracks(moves.reshape(self.tracks, count).sum(axis=1))
             return
         moves = np.zeros(self.tracks, dtype=np.int64)
-        perturb = self.injector.perturb_shift
-        for track, offset in enumerate(start):
+        perturb = injector.perturb_shift
+        for track, offset in enumerate(self._offsets.tolist()):
             position = offset
             for _ in range(count):
                 amount = perturb(direction)

@@ -11,7 +11,13 @@ Schema history:
   the last repeat's sim metrics.
 * ``coruscant-bench-pim-ops/2`` — sim metrics are asserted identical
   across repeats (:class:`DeterminismError` on drift) and
-  ``wall_seconds_median`` joined the wall-clock stats.
+  ``wall_seconds_median`` joined the wall-clock stats. Later, within
+  the same schema, the ``wall_seconds_*`` stats became probe-scaled
+  (see :func:`bench_kernel`); the measured figures are kept as
+  ``host_wall_seconds_*``, next to the ``probe_seconds_*`` they were
+  scaled by. ``host_wall_seconds_min`` marks a document as scaled, and
+  :class:`~repro.obs.regression.RegressionDetector` does not gate a
+  scaled document's wall figures against an unscaled one's.
 """
 
 from __future__ import annotations
@@ -21,7 +27,17 @@ import statistics
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
+import numpy as np
+
 BENCH_SCHEMA = "coruscant-bench-pim-ops/2"
+
+#: Timed kernel runs per repeat, each right after its own probe.
+WALL_SAMPLES = 7
+#: Iterations of the :func:`_probe` loop.
+PROBE_LOOPS = 150
+#: The probe time wall-clock figures are scaled to: about what the loop
+#: takes on an Intel Xeon vCPU with no neighbour busy.
+PROBE_REF_S = 0.0009
 
 
 class DeterminismError(AssertionError):
@@ -63,19 +79,44 @@ def bench_kernel(
     cycle/energy/span numbers must come out identical every time; a
     mismatch raises :class:`DeterminismError` naming the metric instead
     of silently keeping the last repeat's values.
+
+    A repeat times the kernel ``WALL_SAMPLES`` times, each on a fresh
+    system right after a :func:`_probe`, and its wall time is the median
+    of ``seconds / probe`` scaled to ``PROBE_REF_S``: one
+    sub-millisecond run can lose several times its length to the
+    scheduler, and a shared host's speed changes in stretches. The
+    measured ``host_wall_seconds_*`` (the median run of each repeat) and
+    ``probe_seconds_*`` are kept next to the scaled figures.
     """
     from repro import CoruscantSystem, MemoryGeometry, TelemetryHub
 
     wall: List[float] = []
+    host_wall: List[float] = []
+    probes: List[float] = []
     sim: Dict[str, Any] = {}
     for repeat in range(repeats):
-        hub = TelemetryHub()
-        system = CoruscantSystem(
-            trd=trd,
-            geometry=MemoryGeometry(tracks_per_dbc=64),
-            telemetry=hub,
+        # The first system's counters are the repeat's sim metrics; the
+        # others only time the kernel again.
+        hubs = [TelemetryHub() for _ in range(WALL_SAMPLES)]
+        hub = hubs[0]
+        systems = [
+            CoruscantSystem(
+                trd=trd,
+                geometry=MemoryGeometry(tracks_per_dbc=64),
+                telemetry=sample_hub,
+            )
+            for sample_hub in hubs
+        ]
+        samples = []
+        for system in systems:
+            probe_s = _probe()
+            samples.append((_timed(run, system), probe_s))
+        wall.append(
+            statistics.median(seconds / p for seconds, p in samples)
+            * PROBE_REF_S
         )
-        wall.append(_timed(run, system))
+        host_wall.append(statistics.median(seconds for seconds, _ in samples))
+        probes.append(statistics.median(p for _, p in samples))
         counters = hub.metrics.as_dict()["counters"]
         observed = {
             "sim_cycles": counters.get("device.cycles", 0),
@@ -123,7 +164,34 @@ def bench_kernel(
         "wall_seconds_min": min(wall),
         "wall_seconds_mean": sum(wall) / len(wall),
         "wall_seconds_median": statistics.median(wall),
+        "host_wall_seconds_min": min(host_wall),
+        "host_wall_seconds_mean": sum(host_wall) / len(host_wall),
+        "host_wall_seconds_median": statistics.median(host_wall),
+        "probe_seconds_min": min(probes),
+        "probe_seconds_median": statistics.median(probes),
     }
+
+
+def _probe() -> float:
+    """Seconds a fixed loop of small row operations takes: the host's
+    speed now.
+
+    Shared hosts change speed in stretches of a second to minutes, and
+    two back-to-back bench runs can land in different stretches. The
+    loop does the kinds of work the kernels do (numpy row shifts and
+    sums on a small plane, Python lists and dicts) without running any
+    of the simulator's code, so it slows down with the kernels when a
+    neighbour is busy, and a change to the simulator does not move it.
+    A pure-integer loop slows down by less than the kernels do.
+    """
+    plane = np.zeros((40, 64), dtype=np.uint8)
+    kept = 0
+    start = time.perf_counter()
+    for _ in range(PROBE_LOOPS):
+        plane[1:] = plane[:-1]
+        levels = plane[10:17].sum(axis=0).tolist()
+        kept += len({track: levels[track] for track in range(0, 64, 4)})
+    return time.perf_counter() - start
 
 
 def _timed(run: Callable[[Any], Any], system: Any) -> float:
@@ -155,6 +223,7 @@ def run_benchmarks(repeats: int = 3) -> Dict[str, Any]:
     return {
         "schema": BENCH_SCHEMA,
         "repeats": repeats,
+        "probe_reference_seconds": PROBE_REF_S,
         "kernels": results,
     }
 

@@ -102,7 +102,10 @@ class RegressionDetector:
     *both* its best-case (``wall_seconds_min``) and its typical-case
     (``wall_seconds_median``, falling back to the mean for pre-v2
     baselines) moved outside the band — one noisy repeat cannot flip the
-    verdict.
+    verdict. Wall figures are compared only when both documents hold the
+    same kind: probe-scaled ones (which come with
+    ``host_wall_seconds_min``) or measured seconds (older documents of
+    the same schema). Across kinds the verdict is NEW.
     """
 
     def __init__(self, wall_tolerance: float = 0.25) -> None:
@@ -189,6 +192,14 @@ class RegressionDetector:
                 kernel=name, metric="wall_seconds_min",
                 baseline=b_min, current=c_min,
                 verdict=Verdict.NEW, note="wall-clock absent from baseline",
+            )
+        if ("host_wall_seconds_min" in base) != (
+            "host_wall_seconds_min" in curr
+        ):
+            return Comparison(
+                kernel=name, metric="wall_seconds_min",
+                baseline=b_min, current=c_min, verdict=Verdict.NEW,
+                note="probe-scaled and measured wall-clock not compared",
             )
         upper = 1.0 + self.wall_tolerance
         lower = 1.0 - self.wall_tolerance

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import BenchHistory
 
 
 class TestExperiments:
@@ -422,6 +423,38 @@ class TestBenchCommand:
              "--compare", str(baseline)]
         ) == 0
         assert "has_regression: False" in capsys.readouterr().out
+
+    def test_compare_against_measured_seconds_history_exits_zero(
+        self, tmp_path, capsys
+    ):
+        # A history written before the wall figures were probe-scaled:
+        # same schema, measured seconds, no host_wall_seconds_*. Its wall
+        # figures are far below any scaled one, yet the gate must not
+        # trip, and the run must extend the history for the next gate.
+        out = tmp_path / "bench.json"
+        assert main(
+            ["bench", "--repeats", "1", "--no-history",
+             "--bench-out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        document = json.loads(out.read_text())
+        del document["probe_reference_seconds"]
+        for kernel in document["kernels"]:
+            for key in list(kernel):
+                if key.startswith(("host_wall_", "probe_")):
+                    del kernel[key]
+                elif key.startswith("wall_seconds_"):
+                    kernel[key] = 1e-9
+        history = self._history(tmp_path)
+        BenchHistory(history).append(document)
+        assert main(
+            ["bench", "--repeats", "1", "--history", history,
+             "--compare", history]
+        ) == 0
+        assert "has_regression: False" in capsys.readouterr().out
+        assert "host_wall_seconds_min" in (
+            BenchHistory(history).last()["kernels"][0]
+        )
 
     def test_injected_cycle_regression_exits_nonzero(
         self, tmp_path, capsys

@@ -183,6 +183,39 @@ class TestRegressionDetector:
             self._verdict(report, "wall_seconds_min") is Verdict.REGRESSED
         )
 
+    def _scaled(self, doc):
+        """``doc`` as a probe-scaled document, its host seconds 1000x."""
+        kernel = doc["kernels"][0]
+        kernel["host_wall_seconds_min"] = kernel["wall_seconds_min"] * 1000
+        kernel["probe_seconds_min"] = 0.0009
+        return doc
+
+    def test_scaled_wall_not_gated_against_measured_baseline(self):
+        # A baseline written before the wall figures were probe-scaled
+        # holds measured seconds; against it a scaled run is ungated,
+        # however far apart the two figures are, in both directions.
+        for wall in (0.0001, 0.2):
+            report = RegressionDetector(wall_tolerance=0.25).compare(
+                self._scaled(_bench_doc(wall=wall)), _bench_doc(wall=0.002)
+            )
+            assert (
+                self._verdict(report, "wall_seconds_min") is Verdict.NEW
+            )
+            assert report.exit_code == 0
+        report = RegressionDetector().compare(
+            _bench_doc(), self._scaled(_bench_doc())
+        )
+        assert self._verdict(report, "wall_seconds_min") is Verdict.NEW
+
+    def test_scaled_wall_gated_against_scaled_baseline(self):
+        report = RegressionDetector(wall_tolerance=0.25).compare(
+            self._scaled(_bench_doc(wall=0.004)),
+            self._scaled(_bench_doc(wall=0.002)),
+        )
+        assert (
+            self._verdict(report, "wall_seconds_min") is Verdict.REGRESSED
+        )
+
     def test_new_kernel_gets_new_verdict(self):
         current = _bench_doc()
         current["kernels"].append(
