@@ -60,10 +60,13 @@ operations for exploration:
                                     # over the loadbench history (exit
                                     # 3 while an objective is burning)
 
-Every table/figure command accepts ``--json`` to emit its result as one
-JSON document on stdout instead of the text tables (the document always
-carries the command's ``exit_status``), and ``--metrics-json PATH`` to
-dump the telemetry metrics registry gathered while the command ran.
+Each command accepts only the flags it reads (``python -m repro
+<command> --help`` lists them). Every command but ``serve`` takes
+``--json`` to emit its result as one JSON document on stdout (always
+carrying the command's ``exit_status``); the table/figure commands,
+``report``, ``trace``, ``campaign`` and ``mc`` take ``--metrics-json
+PATH`` to dump the telemetry metrics gathered while the command ran.
+Every malformed invocation exits 2 before any work runs.
 
 Exit codes follow the stack-wide contract in :mod:`repro.exitcodes`:
 0 ok, 1 error, 2 usage, 3 degraded-but-usable.
@@ -72,9 +75,13 @@ Exit codes follow the stack-wide contract in :mod:`repro.exitcodes`:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import importlib
 import json
+import re
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.exitcodes import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK
 
@@ -148,13 +155,29 @@ class OutputWriter:
             self.stream.write("\n")
 
 
+def _writes(run: Callable[[OutputWriter, argparse.Namespace], int]):
+    """Make ``run(writer, args) -> code`` a command: it gets a fresh
+    :class:`OutputWriter`, closed with the exit code ``run`` returns."""
+
+    @functools.wraps(run)
+    def command(args: argparse.Namespace) -> int:
+        writer = OutputWriter(json_mode=args.json)
+        code = run(writer, args)
+        writer.close(code)
+        return code
+
+    return command
+
+
 def _run_table1(writer: OutputWriter) -> None:
+    """Table I: area overhead"""
     from repro.sim.experiments import area_table
 
     writer.section("Table I: area overhead (%)", area_table())
 
 
 def _run_table3(writer: OutputWriter) -> None:
+    """Table III: operation comparison"""
     from repro.sim.experiments import operation_comparison, operation_speedups
 
     writer.section("Table III: operations", operation_comparison())
@@ -164,24 +187,28 @@ def _run_table3(writer: OutputWriter) -> None:
 
 
 def _run_table4(writer: OutputWriter) -> None:
+    """Table IV: CNN inference FPS"""
     from repro.sim.experiments import cnn_experiment
 
     writer.section("Table IV: CNN inference (FPS)", cnn_experiment())
 
 
 def _run_table5(writer: OutputWriter) -> None:
+    """Table V: reliability"""
     from repro.sim.experiments import reliability_table
 
     writer.section("Table V: reliability", reliability_table())
 
 
 def _run_table6(writer: OutputWriter) -> None:
+    """Table VI: CNN with NMR"""
     from repro.sim.experiments import cnn_nmr_experiment
 
     writer.section("Table VI: CNN with NMR (FPS)", cnn_nmr_experiment())
 
 
 def _run_fig10(writer: OutputWriter) -> None:
+    """Fig. 10: Polybench latency"""
     from repro.sim.experiments import polybench_experiment, polybench_summary
 
     results = polybench_experiment()
@@ -207,6 +234,7 @@ def _run_fig10(writer: OutputWriter) -> None:
 
 
 def _run_fig11(writer: OutputWriter) -> None:
+    """Fig. 11: Polybench energy"""
     from repro.sim.experiments import polybench_experiment
 
     results = polybench_experiment()
@@ -221,6 +249,7 @@ def _run_fig11(writer: OutputWriter) -> None:
 
 
 def _run_fig12(writer: OutputWriter) -> None:
+    """Fig. 12: bitmap query speedups"""
     from repro.sim.experiments import bitmap_experiment
 
     results = bitmap_experiment()
@@ -250,6 +279,43 @@ def _run_report(writer: OutputWriter) -> None:
     writer.text("report", generate_report())
 
 
+_EXPERIMENTS = {
+    "report": _run_report,
+    "table1": _run_table1,
+    "table3": _run_table3,
+    "table4": _run_table4,
+    "table5": _run_table5,
+    "table6": _run_table6,
+    "fig10": _run_fig10,
+    "fig11": _run_fig11,
+    "fig12": _run_fig12,
+}
+
+
+@_writes
+def _run_experiment(writer: OutputWriter, args) -> int:
+    """One table/figure command (``args.experiment``)."""
+    if not args.metrics_json:
+        args.experiment(writer)
+        return EXIT_OK
+    # Experiment commands build DBCs internally; the process-wide
+    # active hub catches their device-level stats.
+    from repro.telemetry import TelemetryHub, runtime
+
+    hub = TelemetryHub()
+    with runtime.activated(hub):
+        args.experiment(writer)
+    _write_json(args.metrics_json, hub.metrics_dict())
+    return EXIT_OK
+
+
+@_writes
+def _run_all(writer: OutputWriter, args) -> int:
+    for run in _EXPERIMENTS.values():
+        run(writer)
+    return EXIT_OK
+
+
 # ----------------------------------------------------------------------
 # observability commands (report scoreboard + bench regression gate)
 
@@ -269,22 +335,14 @@ def _run_report_command(args) -> int:
     else:
         sys.stdout.write(RENDERERS[fmt](report))
     if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(report.metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.metrics_json, report.metrics)
     return 0
 
 
+@_writes
 def _run_bench(writer: OutputWriter, args) -> int:
     """Run the bench kernels, extend the history, gate on regressions."""
-    import time
-
-    from repro.obs import (
-        BenchHistory,
-        RegressionDetector,
-        load_baseline,
-        run_benchmarks,
-    )
+    from repro.obs import run_benchmarks
 
     current = run_benchmarks(args.repeats)
     writer.rows(
@@ -298,7 +356,24 @@ def _run_bench(writer: OutputWriter, args) -> int:
         ],
     )
 
-    history_path = args.history or "BENCH_history.jsonl"
+    return _gate(writer, args, current, "bench", "BENCH_history.jsonl", 12)
+
+
+def _gate(
+    writer, args, current, name: str, default_history: str, width: int
+) -> int:
+    """The bench/loadbench history and regression gate.
+
+    With ``--compare BASELINE`` a regression verdict exits 1; without
+    it, the drift against the last history entry is reported but never
+    gated on. Then the history is extended (unless ``--no-history``)
+    and ``--bench-out`` written.
+    """
+    import time
+
+    from repro.obs import BenchHistory, RegressionDetector, load_baseline
+
+    history_path = args.history or default_history
     if args.compare:
         baseline = load_baseline(args.compare)
         if baseline is None:
@@ -307,8 +382,6 @@ def _run_bench(writer: OutputWriter, args) -> int:
             )
         baseline_source = args.compare
     else:
-        # No explicit baseline: report (but never gate on) the drift
-        # against the previous history entry, when one exists.
         baseline = (
             BenchHistory(history_path).last()
             if not args.no_history
@@ -316,15 +389,15 @@ def _run_bench(writer: OutputWriter, args) -> int:
         )
         baseline_source = history_path if baseline is not None else None
 
-    code = 0
+    code = EXIT_OK
     if baseline is not None:
         detector = RegressionDetector(wall_tolerance=args.wall_tolerance)
         comparison = detector.compare(current, baseline)
         writer.rows(
-            "bench comparison",
+            f"{name} comparison",
             [c.as_dict() for c in comparison.comparisons],
             [
-                f"  {c.kernel:12s} {c.metric:18s} "
+                f"  {c.kernel:{width}s} {c.metric:18s} "
                 f"{c.verdict.value:9s} {c.note}"
                 for c in comparison.comparisons
                 if c.verdict.value != "unchanged"
@@ -333,11 +406,11 @@ def _run_bench(writer: OutputWriter, args) -> int:
         )
         summary = comparison.summary()
         summary["baseline"] = baseline_source
-        writer.section("bench verdicts", summary)
+        writer.section(f"{name} verdicts", summary)
         if args.compare and comparison.has_regression:
-            code = 1
+            code = EXIT_ERROR
             writer.line(
-                "\nbench regressed vs baseline", regressed=True
+                f"\n{name} regressed vs baseline", regressed=True
             )
 
     if not args.no_history:
@@ -345,12 +418,11 @@ def _run_bench(writer: OutputWriter, args) -> int:
             current, meta={"recorded_unix": int(time.time())}
         )
     if args.bench_out:
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(current, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.bench_out, current)
     return code
 
 
+@_writes
 def _run_loadbench(writer: OutputWriter, args) -> int:
     """Closed-loop service load bench + latency regression gate.
 
@@ -359,67 +431,40 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
     one: sustained req/s plus p50/p90/p99 request latency, produced by
     a deterministic seeded schedule against the in-process gateway.
     """
-    import time
+    from repro.obs import run_loadbench
 
-    from repro.obs import (
-        BenchHistory,
-        LOAD_PROFILES,
-        RegressionDetector,
-        load_baseline,
-        run_loadbench,
-    )
-
-    profile = (args.profile or ["mixed"])[0]
-    if profile not in LOAD_PROFILES:
-        raise SystemExit(
-            f"unknown load profile {profile!r}; "
-            f"pick one of {', '.join(sorted(LOAD_PROFILES))}"
-        )
-
-    client = None
-    event_log = None
-    if args.event_log:
-        from repro.service.client import ServiceClient
-        from repro.service.gateway import Gateway
-        from repro.telemetry import (
-            EventLog,
-            JsonlSink,
-            TelemetryHub,
-            Tracer,
-        )
-
-        event_log = EventLog(JsonlSink(args.event_log))
-        client = ServiceClient(
-            gateway=Gateway(
-                workers=args.concurrency,
-                telemetry=TelemetryHub(
-                    tracer=Tracer(max_roots=4096), events=event_log
-                ),
-            )
-        )
-        client.start()
     slo_engine = None
     if args.slo:
         from repro.obs.slo import SloEngine
 
         slo_engine = SloEngine(burn_threshold=args.slo_burn_threshold)
-    try:
-        current = run_loadbench(
-            profile=profile,
-            requests=args.requests,
-            seed=args.seed,
-            concurrency=args.concurrency,
-            duration=args.duration,
-            budget_s=args.default_budget_s,
-            client=client,
-            slo_engine=slo_engine,
-            slo_step=args.slo_step,
-        )
-    finally:
-        if client is not None:
-            client.close()
-        if event_log is not None:
-            event_log.close()
+    with _service_telemetry(args.event_log) as telemetry:
+        client = None
+        if telemetry is not None:
+            from repro.service.client import ServiceClient
+            from repro.service.gateway import Gateway
+
+            client = ServiceClient(
+                gateway=Gateway(
+                    workers=args.concurrency, telemetry=telemetry
+                )
+            )
+            client.start()
+        try:
+            current = run_loadbench(
+                profile=args.profile,
+                requests=args.requests,
+                seed=args.seed,
+                concurrency=args.concurrency,
+                duration=args.duration,
+                budget_s=args.default_budget_s,
+                client=client,
+                slo_engine=slo_engine,
+                slo_step=args.slo_step,
+            )
+        finally:
+            if client is not None:
+                client.close()
 
     writer.meta(schema=current["schema"])
     writer.section(
@@ -450,45 +495,9 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
         ],
     )
 
-    history_path = args.history or "LOADBENCH_history.jsonl"
-    if args.compare:
-        baseline = load_baseline(args.compare)
-        if baseline is None:
-            raise SystemExit(
-                f"--compare baseline {args.compare!r} does not exist"
-            )
-        baseline_source = args.compare
-    else:
-        baseline = (
-            BenchHistory(history_path).last()
-            if not args.no_history
-            else None
-        )
-        baseline_source = history_path if baseline is not None else None
-
-    code = EXIT_OK
-    if baseline is not None:
-        detector = RegressionDetector(wall_tolerance=args.wall_tolerance)
-        comparison = detector.compare(current, baseline)
-        writer.rows(
-            "loadbench comparison",
-            [c.as_dict() for c in comparison.comparisons],
-            [
-                f"  {c.kernel:22s} {c.metric:18s} "
-                f"{c.verdict.value:9s} {c.note}"
-                for c in comparison.comparisons
-                if c.verdict.value != "unchanged"
-            ]
-            or ["  all metrics unchanged"],
-        )
-        summary = comparison.summary()
-        summary["baseline"] = baseline_source
-        writer.section("loadbench verdicts", summary)
-        if args.compare and comparison.has_regression:
-            code = EXIT_ERROR
-            writer.line(
-                "\nloadbench regressed vs baseline", regressed=True
-            )
+    code = _gate(
+        writer, args, current, "loadbench", "LOADBENCH_history.jsonl", 22
+    )
     if current["requests_failed"]:
         writer.line(
             f"\n{current['requests_failed']} request(s) failed "
@@ -532,39 +541,26 @@ def _run_loadbench(writer: OutputWriter, args) -> int:
             )
             if code == EXIT_OK:
                 code = EXIT_DEGRADED
-
-    if not args.no_history:
-        BenchHistory(history_path).append(
-            current, meta={"recorded_unix": int(time.time())}
-        )
-    if args.bench_out:
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(current, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return code
 
 
-_EXPERIMENTS = {
-    "report": _run_report,
-    "table1": _run_table1,
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "table5": _run_table5,
-    "table6": _run_table6,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "fig12": _run_fig12,
-}
-
-
-def _run_add(writer: OutputWriter, values: List[int], trd: int) -> None:
+def _demo_system(trd: int, **options):
+    """The 64-track system the add, mult and trace commands run on."""
     from repro import CoruscantSystem, MemoryGeometry
 
-    system = CoruscantSystem(
-        trd=trd, geometry=MemoryGeometry(tracks_per_dbc=64)
+    return CoruscantSystem(
+        trd=trd, geometry=MemoryGeometry(tracks_per_dbc=64), **options
     )
+
+
+@_writes
+def _run_add(writer: OutputWriter, args) -> int:
+    values, trd = [args.first, *args.rest], args.trd
     n_bits = max(8, max(values).bit_length())
-    result = system.add(values, n_bits=n_bits)
+    try:
+        result = _demo_system(trd).add(values, n_bits=n_bits)
+    except ValueError as exc:  # operands the 64-track DBC cannot hold
+        args.parser.error(str(exc))
     writer.line(
         f"{' + '.join(map(str, values))} = {result.value} "
         f"[{result.cycles} cycles, TRD={trd}]",
@@ -573,16 +569,17 @@ def _run_add(writer: OutputWriter, values: List[int], trd: int) -> None:
         cycles=result.cycles,
         trd=trd,
     )
+    return EXIT_OK
 
 
-def _run_mult(writer: OutputWriter, a: int, b: int, trd: int) -> None:
-    from repro import CoruscantSystem, MemoryGeometry
-
-    system = CoruscantSystem(
-        trd=trd, geometry=MemoryGeometry(tracks_per_dbc=64)
-    )
+@_writes
+def _run_mult(writer: OutputWriter, args) -> int:
+    a, b, trd = args.a, args.b, args.trd
     n_bits = max(8, a.bit_length(), b.bit_length())
-    result = system.multiply(a, b, n_bits=n_bits)
+    try:
+        result = _demo_system(trd).multiply(a, b, n_bits=n_bits)
+    except ValueError as exc:  # operands the 64-track DBC cannot hold
+        args.parser.error(str(exc))
     writer.line(
         f"{a} * {b} = {result.value} "
         f"[{result.cycles} cycles, TRD={trd}, {result.breakdown}]",
@@ -593,6 +590,7 @@ def _run_mult(writer: OutputWriter, a: int, b: int, trd: int) -> None:
         trd=trd,
         breakdown=result.breakdown,
     )
+    return EXIT_OK
 
 
 # The stack-wide exit-code contract lives in repro.exitcodes (0 ok,
@@ -624,54 +622,7 @@ def _campaign_config(args):
     )
 
 
-def _parse_crash(spec: Optional[str]):
-    """``SHARD:OP[:MODE]`` -> the sharded runner's crash dict."""
-    if spec is None:
-        return None
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise SystemExit(
-            f"--inject-worker-crash wants SHARD:OP[:MODE], got {spec!r}"
-        )
-    try:
-        crash = {"shard": int(parts[0]), "at_op": int(parts[1])}
-    except ValueError:
-        raise SystemExit(
-            f"--inject-worker-crash wants SHARD:OP[:MODE], got {spec!r}"
-        ) from None
-    if len(parts) == 3:
-        if parts[2] not in ("kill", "hang", "kill-always"):
-            raise SystemExit(
-                f"unknown crash mode {parts[2]!r} "
-                "(kill, hang, kill-always)"
-            )
-        crash["mode"] = parts[2]
-    return crash
-
-
-def _validate_shard_flags(parser, args) -> None:
-    """Shared validation for the sharded campaign/mc flags."""
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.workers is not None and args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        parser.error("--shard-timeout must be > 0")
-    if args.max_shard_retries < 0:
-        parser.error("--max-shard-retries must be >= 0")
-    if args.inject_worker_crash is not None:
-        if args.shards is None and not args.journal:
-            parser.error(
-                "--inject-worker-crash requires a sharded run (--shards N)"
-            )
-        if args.workers == 0:
-            parser.error(
-                "--inject-worker-crash needs worker processes "
-                "(--workers >= 1); in-process shards cannot be killed"
-            )
-
-
-def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
+def _run_sharded_campaign(writer: OutputWriter, args, telemetry) -> int:
     from repro.reliability.sharded import (
         CAMPAIGN_SCHEMA,
         run_sharded_campaign,
@@ -680,14 +631,14 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     config = _campaign_config(args)
     result = run_sharded_campaign(
         config,
-        shards=args.shards,
+        shards=args.shards or 1,
         journal_dir=args.journal,
         workers=args.workers,
         shard_timeout=args.shard_timeout,
         max_shard_retries=args.max_shard_retries,
         checkpoint_every=args.checkpoint_every,
         telemetry=telemetry,
-        crash=_parse_crash(args.inject_worker_crash),
+        crash=args.inject_worker_crash,
     )
     summaries = result.shard_summaries()
     writer.meta(schema=CAMPAIGN_SCHEMA, config=result.report["config"])
@@ -715,14 +666,7 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     )
     exit_code = 0
     if not result.complete:
-        writer.rows(
-            "incomplete shards",
-            result.report["incomplete_shards"],
-            [
-                f"  shard {e['shard']}: {e['reason']}"
-                for e in result.report["incomplete_shards"]
-            ],
-        )
+        _incomplete_rows(writer, result)
         writer.line(
             "\ncampaign degraded to a partial report "
             f"(incomplete shards: {result.incomplete_shards})",
@@ -746,17 +690,20 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry=None) -> int:
     return exit_code
 
 
+@contextlib.contextmanager
 def _shard_telemetry(args, sharded: bool):
-    """(hub, event_log) for campaign/mc runs per the telemetry flags.
+    """The hub for a campaign/mc run, per the telemetry flags.
 
-    Returns (None, None) unless ``--metrics-json`` or ``--event-log``
-    asked for instrumentation. Unsharded runs stamp ``shard_id: 0``
-    onto every event record via the log's common fields; sharded
-    supervisors emit shard lifecycle records that already carry their
-    ``shard_id`` explicitly.
+    Yields None unless ``--metrics-json`` or ``--event-log`` asked for
+    instrumentation. Unsharded runs stamp ``shard_id: 0`` onto every
+    event record via the log's common fields; sharded supervisors emit
+    shard lifecycle records that already carry their ``shard_id``
+    explicitly. Closes the event log on the way out, then writes
+    ``--metrics-json`` if the run completed.
     """
     if not (args.metrics_json or args.event_log):
-        return None, None
+        yield None
+        return
     from repro.telemetry import TelemetryHub
 
     event_log = None
@@ -768,31 +715,54 @@ def _shard_telemetry(args, sharded: bool):
             common=None if sharded else {"shard_id": 0},
         )
     hub = TelemetryHub(events=event_log)
-    return hub, event_log
+    try:
+        yield hub
+    finally:
+        if event_log is not None:
+            event_log.close()
+    if args.metrics_json:
+        _write_json(args.metrics_json, hub.metrics_dict())
 
 
-def _run_mc(writer: OutputWriter, args, telemetry=None) -> int:
-    from repro.reliability.sharded import MC_KINDS, MC_SCHEMA, run_sharded_mc
+@contextlib.contextmanager
+def _service_telemetry(path):
+    """A traced hub streaming service events to ``path``, if given."""
+    if not path:
+        yield None
+        return
+    from repro.telemetry import EventLog, JsonlSink, TelemetryHub, Tracer
 
-    kind = args.operands[0] if args.operands else "additions"
-    if kind not in MC_KINDS:
-        raise SystemExit(
-            f"unknown mc kind {kind!r}; pick one of {', '.join(MC_KINDS)}"
+    event_log = EventLog(JsonlSink(path))
+    try:
+        yield TelemetryHub(tracer=Tracer(max_roots=4096), events=event_log)
+    finally:
+        event_log.close()
+
+
+@_writes
+def _run_mc(writer: OutputWriter, args) -> int:
+    from repro.reliability.sharded import MC_SCHEMA, run_sharded_mc
+
+    kind = args.kind
+    if (args.shards or 1) > args.trials:
+        args.parser.error(
+            f"cannot split {args.trials} trials into {args.shards} shards"
         )
-    result = run_sharded_mc(
-        kind,
-        trials=args.trials,
-        shards=args.shards or 1,
-        fault_rate=args.fault_rate,
-        trd=args.trd,
-        seed=args.seed,
-        journal_dir=args.journal,
-        workers=args.workers,
-        shard_timeout=args.shard_timeout,
-        max_shard_retries=args.max_shard_retries,
-        checkpoint_every=args.checkpoint_every,
-        telemetry=telemetry,
-    )
+    with _shard_telemetry(args, sharded=True) as telemetry:
+        result = run_sharded_mc(
+            kind,
+            trials=args.trials,
+            shards=args.shards or 1,
+            fault_rate=args.fault_rate,
+            trd=args.trd,
+            seed=args.seed,
+            journal_dir=args.journal,
+            workers=args.workers,
+            shard_timeout=args.shard_timeout,
+            max_shard_retries=args.max_shard_retries,
+            checkpoint_every=args.checkpoint_every,
+            telemetry=telemetry,
+        )
     summaries = result.shard_summaries()
     writer.meta(schema=MC_SCHEMA, config=result.report["config"])
     writer.section(f"Monte Carlo ({kind}, merged)", result.report["merged"])
@@ -808,19 +778,49 @@ def _run_mc(writer: OutputWriter, args, telemetry=None) -> int:
         ],
     )
     if not result.complete:
-        writer.rows(
-            "incomplete shards",
-            result.report["incomplete_shards"],
-            [
-                f"  shard {e['shard']}: {e['reason']}"
-                for e in result.report["incomplete_shards"]
-            ],
-        )
+        _incomplete_rows(writer, result)
         return EXIT_INCOMPLETE_SHARDS
     return 0
 
 
-def _run_campaign(writer: OutputWriter, args, telemetry=None) -> int:
+def _incomplete_rows(writer: OutputWriter, result) -> None:
+    incomplete = result.report["incomplete_shards"]
+    writer.rows(
+        "incomplete shards",
+        incomplete,
+        [f"  shard {e['shard']}: {e['reason']}" for e in incomplete],
+    )
+
+
+@_writes
+def _run_campaign(writer: OutputWriter, args) -> int:
+    """Fault campaign: sharded (``--shards``/``--journal``) or local."""
+    error = args.parser.error
+    sharded = args.shards is not None or bool(args.journal)
+    if args.adaptive and not args.resilience:
+        error("--adaptive requires the resilient layer "
+              "(drop --no-resilience)")
+    if sharded and args.checkpoint:
+        error("sharded campaigns journal per shard; use "
+              "--journal DIR instead of --checkpoint")
+    if sharded and args.stop_after is not None:
+        error("--stop-after is the single-process crash stand-in; "
+              "sharded runs are interrupted per worker instead")
+    if (args.shards or 1) > args.ops:
+        error(f"cannot split {args.ops} ops into {args.shards} shards")
+    if args.inject_worker_crash is not None:
+        if not sharded:
+            error("--inject-worker-crash requires a sharded run "
+                  "(--shards N)")
+        if args.workers == 0:
+            error("--inject-worker-crash needs worker processes "
+                  "(--workers >= 1); in-process shards cannot be killed")
+    run = _run_sharded_campaign if sharded else _run_local_campaign
+    with _shard_telemetry(args, sharded=sharded) as telemetry:
+        return run(writer, args, telemetry)
+
+
+def _run_local_campaign(writer: OutputWriter, args, telemetry) -> int:
     from repro.reliability.campaign import (
         run_add_campaign,
         run_recovery_comparison,
@@ -868,27 +868,17 @@ def _run_campaign(writer: OutputWriter, args, telemetry=None) -> int:
 _TRACE_KERNELS = ("add", "mult", "max", "bulk")
 
 
+@_writes
 def _run_trace(writer: OutputWriter, args) -> int:
     """Trace one kernel end to end and write a Chrome trace file."""
-    from repro import CoruscantSystem, MemoryGeometry
     from repro.core.addition import MultiOperandAdder
     from repro.core.isa import Address, CpimInstruction, CpimOp
     from repro.core.pim_logic import BulkOp
     from repro.telemetry import TelemetryHub, write_chrome_trace
 
-    kernel = args.operands[0] if args.operands else "mult"
-    if kernel not in _TRACE_KERNELS:
-        raise SystemExit(
-            f"unknown trace kernel {kernel!r}; "
-            f"pick one of {', '.join(_TRACE_KERNELS)}"
-        )
+    kernel = args.kernel
     hub = TelemetryHub()
-    system = CoruscantSystem(
-        trd=args.trd,
-        geometry=MemoryGeometry(tracks_per_dbc=64),
-        resilience=True,
-        telemetry=hub,
-    )
+    system = _demo_system(args.trd, resilience=True, telemetry=hub)
     if kernel == "mult":
         result = system.multiply(173, 219, n_bits=8)
         outcome = {"value": result.value, "cycles": result.cycles}
@@ -928,27 +918,20 @@ def _run_trace(writer: OutputWriter, args) -> int:
         **outcome,
     )
     if args.metrics_json:
-        _dump_metrics(hub, args.metrics_json)
+        _write_json(args.metrics_json, hub.metrics_dict())
         writer.line(
             f"metrics -> {args.metrics_json}", metrics_json=args.metrics_json
         )
     return 0
 
 
-def _dump_metrics(hub, path: str) -> None:
+def _write_json(path: str, document: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hub.metrics_dict(), fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _int_operands(parser, args, command: str) -> List[int]:
-    try:
-        return [int(v) for v in args.operands]
-    except ValueError:
-        parser.error(f"{command} operands must be integers")
-
-
-def _run_serve(parser: argparse.ArgumentParser, args) -> int:
+def _run_serve(args) -> int:
     """The resilient kernel gateway: serve until a signal drains us.
 
     Exit codes follow :mod:`repro.exitcodes`: 0 after a clean drain
@@ -970,38 +953,7 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
     try:
         profiles = parse_profile_specs(args.profile)
     except ValueError as exc:
-        parser.error(str(exc))
-    telemetry = None
-    event_log = None
-    if args.event_log:
-        from repro.telemetry import (
-            EventLog,
-            JsonlSink,
-            TelemetryHub,
-            Tracer,
-        )
-
-        event_log = EventLog(JsonlSink(args.event_log))
-        telemetry = TelemetryHub(
-            tracer=Tracer(max_roots=4096), events=event_log
-        )
-    gateway = Gateway(
-        profiles=profiles,
-        host=args.host,
-        port=args.port,
-        admission=AdmissionPolicy(
-            capacity=args.queue_capacity,
-            high_reserve=args.high_reserve,
-        ),
-        breaker=RequestBreakerConfig(
-            open_seconds=args.breaker_open_seconds
-        ),
-        retry=RetryConfig(attempts=args.retry_attempts, seed=args.seed),
-        workers=args.workers if args.workers is not None else 2,
-        default_budget_s=args.default_budget_s,
-        telemetry=telemetry,
-        enable_profiling=args.enable_profiling,
-    )
+        args.parser.error(str(exc))
 
     def announce(host: str, port: int) -> None:
         print(f"serving on http://{host}:{port}", flush=True)
@@ -1009,14 +961,29 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
             with open(args.port_file, "w") as handle:
                 handle.write(f"{port}\n")
 
-    try:
-        asyncio.run(run_gateway(gateway, announce))
-    except OSError as exc:
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    finally:
-        if event_log is not None:
-            event_log.close()
+    with _service_telemetry(args.event_log) as telemetry:
+        gateway = Gateway(
+            profiles=profiles,
+            host=args.host,
+            port=args.port,
+            admission=AdmissionPolicy(
+                capacity=args.queue_capacity,
+                high_reserve=args.high_reserve,
+            ),
+            breaker=RequestBreakerConfig(
+                open_seconds=args.breaker_open_seconds
+            ),
+            retry=RetryConfig(attempts=args.retry_attempts, seed=args.seed),
+            workers=args.workers,
+            default_budget_s=args.default_budget_s,
+            telemetry=telemetry,
+            enable_profiling=args.enable_profiling,
+        )
+        try:
+            asyncio.run(run_gateway(gateway, announce))
+        except OSError as exc:
+            print(f"serve failed: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     dropped = sum(d.dropped for d in gateway.dispatchers.values())
     if dropped:
         # Should be unreachable — the drain path has no drop branch —
@@ -1031,7 +998,7 @@ def _run_serve(parser: argparse.ArgumentParser, args) -> int:
 # continuous profiling + SLO commands
 
 
-def _run_profile(parser: argparse.ArgumentParser, args) -> int:
+def _run_profile(args) -> int:
     """``repro profile <command> ...``: wrap any command in the profiler.
 
     Wall mode samples every ``--profile-interval-ms`` milliseconds via
@@ -1041,23 +1008,6 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
     command finishes, so two identical invocations produce bit-identical
     folded output.
     """
-    if not args.operands:
-        parser.error(
-            "profile needs a command to wrap, e.g. repro profile bench"
-        )
-    wrapped = args.operands[0]
-    if wrapped == "profile":
-        parser.error("profile cannot wrap itself")
-    if wrapped not in _COMMANDS:
-        parser.error(
-            f"unknown command {wrapped!r} to profile; "
-            f"pick one of {', '.join(_COMMANDS)}"
-        )
-    if args.profile_interval_ms <= 0:
-        parser.error("--profile-interval-ms must be > 0")
-    args.command = wrapped
-    args.operands = args.operands[1:]
-
     from repro.telemetry import TelemetryHub, runtime
     from repro.telemetry.profiler import (
         SamplingProfiler,
@@ -1072,11 +1022,11 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
     interval_s = args.profile_interval_ms / 1000.0
     with runtime.activated(hub):
         if args.virtual_clock:
-            code = _dispatch(parser, args)
+            code = args.run_wrapped(args)
             folded = fold_tracer(hub.tracer, hub.metrics)
             document = profile_document(folded, mode="virtual")
             speedscope = speedscope_document(
-                folded, name=f"repro {wrapped} (virtual)"
+                folded, name=f"repro {args.wrapped} (virtual)"
             )
         else:
             profiler = SamplingProfiler(
@@ -1084,18 +1034,16 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
             )
             profiler.start()
             try:
-                code = _dispatch(parser, args)
+                code = args.run_wrapped(args)
             finally:
                 profiler.stop()
             folded = profiler.folded()
             document = profiler.document(mode="wall")
             speedscope = speedscope_document(
-                folded, name=f"repro {wrapped}", interval_s=interval_s
+                folded, name=f"repro {args.wrapped}", interval_s=interval_s
             )
 
-    with open(args.profile_out, "w", encoding="utf-8") as fh:
-        json.dump(speedscope, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.profile_out, speedscope)
     if args.folded_out:
         with open(args.folded_out, "w", encoding="utf-8") as fh:
             fh.write(render_collapsed(folded))
@@ -1114,7 +1062,7 @@ def _run_profile(parser: argparse.ArgumentParser, args) -> int:
     return code
 
 
-def _run_slo(parser: argparse.ArgumentParser, args) -> int:
+def _run_slo(args) -> int:
     """``repro slo``: burn-rate report over the loadbench history.
 
     Replays every history entry through the SLO engine on the virtual
@@ -1129,12 +1077,6 @@ def _run_slo(parser: argparse.ArgumentParser, args) -> int:
     )
 
     fmt = args.format or ("json" if args.json else "md")
-    if fmt not in ("md", "json"):
-        parser.error("slo supports --format md or json")
-    if args.slo_burn_threshold <= 0:
-        parser.error("--slo-burn-threshold must be > 0")
-    if args.slo_step <= 0:
-        parser.error("--slo-step must be > 0")
     history_path = args.history or "LOADBENCH_history.jsonl"
     documents = [
         entry["bench"] for entry in BenchHistory(history_path).load()
@@ -1155,7 +1097,7 @@ def _run_slo(parser: argparse.ArgumentParser, args) -> int:
     return code
 
 
-def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
+def _run_chaos(args) -> int:
     """``repro chaos``: seed-reproducible service-stack fault campaign.
 
     Compiles a deterministic fault timeline, drives the loadgen mix
@@ -1166,35 +1108,13 @@ def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
     same seed/flags.
     """
     from repro.chaos.campaign import run_campaign
-    from repro.chaos.faults import parse_fault_specs
-    from repro.obs.loadgen import LOAD_PROFILES
 
-    if args.duration_ops < 1:
-        parser.error("--duration-ops must be >= 1")
-    try:
-        specs = parse_fault_specs(
-            args.faults or "worker-crash:1,torn-wal:1"
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    load_profile = "mixed"
-    if args.profile:
-        if len(args.profile) != 1:
-            parser.error(
-                "chaos takes exactly one --profile (a load-mix name)"
-            )
-        load_profile = args.profile[0]
-    if load_profile not in LOAD_PROFILES:
-        parser.error(
-            f"--profile must be a load mix: "
-            f"{', '.join(sorted(LOAD_PROFILES))}"
-        )
     report = run_campaign(
         seed=args.seed,
-        fault_specs=specs,
+        fault_specs=args.faults,
         duration_ops=args.duration_ops,
         journal_dir=args.journal,
-        load_profile=load_profile,
+        load_profile=args.profile,
         inject_violation=args.inject_invariant_violation,
     )
     code = EXIT_OK if report["ok"] else EXIT_DEGRADED
@@ -1211,7 +1131,7 @@ def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
     fired = len(report["fired"])
     print(
         f"chaos campaign: seed={args.seed} "
-        f"ops={args.duration_ops} mix={load_profile} "
+        f"ops={args.duration_ops} mix={args.profile} "
         f"faults={fired} fired / {len(report['unfired'])} unfired"
     )
     journal = report["journal"]
@@ -1232,492 +1152,570 @@ def _run_chaos(parser: argparse.ArgumentParser, args) -> int:
     return code
 
 
-_COMMANDS = sorted(_EXPERIMENTS) + [
-    "all", "add", "mult", "campaign", "chaos", "mc", "trace", "bench",
-    "loadbench", "serve", "profile", "slo",
-]
+# ----------------------------------------------------------------------
+# argument types: a rejected value raises ArgumentTypeError, which
+# argparse reports as a usage error (exit 2) naming the flag
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="CORUSCANT processing-in-racetrack-memory simulator",
-    )
-    parser.add_argument(
-        "command",
-        choices=_COMMANDS,
-        help="experiment to regenerate, a one-off PIM operation, the "
-             "fidelity scoreboard (report), the bench regression gate "
-             "(bench), the closed-loop service load bench (loadbench), "
-             "a fault campaign (campaign), a deterministic service-"
-             "stack chaos campaign (chaos), Monte Carlo fault-injection "
-             "trials (mc), the resilient kernel gateway (serve), the "
-             "sampling profiler wrapper (profile), or the SLO burn-rate "
-             "report (slo)",
-    )
-    parser.add_argument(
-        "operands", nargs="*",
-        help="operands for add/mult, the kernel name for trace "
-             f"({', '.join(_TRACE_KERNELS)}), the trial kind for mc "
-             "(additions, multiplies, tmr_additions), or the wrapped "
-             "command (plus its operands) for profile",
-    )
-    parser.add_argument(
+def _checked(convert: Callable[[str], Any], accept, requirement: str):
+    """An argparse ``type=``: ``convert`` the text, then ``accept`` it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(
+            f"must be {requirement}, got {text!r}"
+        )
+
+    return parse
+
+
+positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+nonneg_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+positive_float = _checked(float, lambda v: v > 0, "a number > 0")
+nonneg_float = _checked(float, lambda v: v >= 0, "a number >= 0")
+probability = _checked(
+    float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]"
+)
+nonzero_probability = _checked(
+    float, lambda v: 0.0 < v <= 1.0, "a probability in (0, 1]"
+)
+tcp_port = _checked(int, lambda v: 0 <= v <= 65535, "a port in [0, 65535]")
+
+_CRASH_SPEC = re.compile(r"(\d+):(\d+)(?::(kill|hang|kill-always))?")
+
+
+def crash_spec(text: str) -> Dict[str, Any]:
+    """``SHARD:OP[:MODE]`` -> the sharded runner's crash dict."""
+    match = _CRASH_SPEC.fullmatch(text)
+    if match is None:
+        raise argparse.ArgumentTypeError(
+            "wants SHARD:OP[:MODE] with MODE kill, hang or kill-always, "
+            f"got {text!r}"
+        )
+    shard, op, mode = match.groups()
+    crash = {"shard": int(shard), "at_op": int(op)}
+    if mode:
+        crash["mode"] = mode
+    return crash
+
+
+def _lazy_choice(module: str, table: str, what: str):
+    """A ``type=`` that checks a name against ``module.table``.
+
+    The module is imported only when a value is parsed, so building the
+    parser (which every ``serve`` start does) stays cheap.
+    """
+
+    def parse(name: str) -> str:
+        names = getattr(importlib.import_module(module), table)
+        if name not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; "
+                f"pick one of {', '.join(sorted(names))}"
+            )
+        return name
+
+    return parse
+
+
+load_mix = _lazy_choice("repro.obs.loadgen", "LOAD_PROFILES", "load profile")
+mc_kind = _lazy_choice("repro.reliability.sharded", "MC_KINDS", "mc kind")
+
+
+def fault_specs(text: str):
+    """Chaos ``--faults``: comma-joined ``kind:count[@param]`` specs."""
+    from repro.chaos.faults import parse_fault_specs
+
+    try:
+        return parse_fault_specs(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# ----------------------------------------------------------------------
+# the parser
+
+
+def _flag_groups() -> Dict[str, argparse.ArgumentParser]:
+    """Flag groups several commands read, as argparse parent parsers."""
+    groups = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in (
+            "output", "metrics", "trd", "seed", "event_log", "budget",
+            "mix", "sharding", "history", "gate", "slo",
+        )
+    }
+    groups["output"].add_argument(
         "--json", action="store_true",
         help="emit the command's result as one JSON document on stdout",
     )
-    parser.add_argument(
-        "--metrics-json", metavar="PATH", default=None,
+    groups["metrics"].add_argument(
+        "--metrics-json", metavar="PATH",
         help="dump the telemetry metrics registry gathered while the "
              "command ran to PATH (trace, campaign, report)",
     )
-    parser.add_argument(
-        "--out", metavar="PATH", default="trace.json",
-        help="Chrome trace output path for the trace command "
-             "(default trace.json)",
-    )
-    parser.add_argument(
+    groups["trd"].add_argument(
         "--trd", type=int, default=7, choices=(3, 5, 7),
         help="transverse read distance (default 7)",
     )
-    parser.add_argument(
-        "--fault-rate", type=float, default=1e-3,
-        help="injected per-TR fault probability for campaigns",
-    )
-    parser.add_argument(
-        "--shift-fault-rate", type=float, default=0.0,
-        help="injected per-shift fault probability for campaigns",
-    )
-    parser.add_argument(
-        "--resilience", dest="resilience", action="store_true",
-        default=True,
-        help="run campaigns under the resilient execution layer "
-             "(default; prints the unprotected baseline alongside)",
-    )
-    parser.add_argument(
-        "--no-resilience", dest="resilience", action="store_false",
-        help="run campaigns bare: faults silently corrupt results",
-    )
-    parser.add_argument(
-        "--ops", type=int, default=1000,
-        help="operations per campaign (default 1000)",
-    )
-    parser.add_argument(
+    groups["seed"].add_argument(
         "--seed", type=int, default=0, help="campaign RNG seed",
     )
-    parser.add_argument(
-        "--scrub-interval", type=int, default=None, metavar="OPS",
-        help="proactively scrub every N memory operations (campaigns)",
+    groups["event_log"].add_argument(
+        "--event-log", metavar="PATH",
+        help="serve/loadbench/campaign/mc: write the structured "
+             "coruscant-events/1 JSONL event stream (size-rotated) to "
+             "PATH; campaign/mc records carry a shard_id",
     )
-    parser.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive BARE->VOTED->NMR protection ladder per DBC "
-             "(campaigns; requires resilience)",
+    groups["budget"].add_argument(
+        "--default-budget-s", type=positive_float, default=10.0,
+        metavar="SECONDS",
+        help="serve: deadline budget for requests that do not carry "
+             "one (default 10)",
     )
-    parser.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
-        help="journal campaign state to PATH; resumes from it if present "
-             "(single-process runs; sharded runs use --journal DIR)",
+    groups["mix"].add_argument(
+        "--profile", type=load_mix, default="mixed", metavar="NAME",
+        help="the load-mix name (mixed, arithmetic, analytics; "
+             "default mixed)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+
+    groups["sharding"].add_argument(
+        "--shards", type=positive_int, metavar="N",
         help="split the campaign/mc run into N supervised worker "
              "processes with per-shard journals and a merged report "
              "bit-identical to the single-process run",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+    groups["sharding"].add_argument(
+        "--workers", type=nonneg_int, metavar="N",
         help="worker processes per wave for sharded runs (default: one "
              "per shard; 0 runs the shards sequentially in-process)",
     )
-    parser.add_argument(
-        "--journal", metavar="DIR", default=None,
+    groups["sharding"].add_argument(
+        "--journal", metavar="DIR",
         help="directory for per-shard journals (journal.shard-K.json) "
              "and the merged report.json; shards resume from it",
     )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+    groups["sharding"].add_argument(
+        "--shard-timeout", type=positive_float, metavar="SECONDS",
         help="kill and retry a shard worker that runs longer than this",
     )
-    parser.add_argument(
-        "--max-shard-retries", type=int, default=2, metavar="R",
+    groups["sharding"].add_argument(
+        "--max-shard-retries", type=nonneg_int, default=2, metavar="R",
         help="retries per shard before the run degrades to a partial "
              "report (default 2); exhausted shards are listed in "
              "incomplete_shards and the command exits 3",
     )
-    parser.add_argument(
-        "--inject-worker-crash", metavar="SHARD:OP[:MODE]", default=None,
-        help="test/CI hook: SIGKILL (kill), hang (hang), or repeatedly "
-             "kill (kill-always) the worker of SHARD at global op OP",
-    )
-    parser.add_argument(
-        "--trials", type=int, default=1000, metavar="N",
-        help="Monte Carlo trials for the mc command (default 1000)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=100, metavar="OPS",
+    groups["sharding"].add_argument(
+        "--checkpoint-every", type=positive_int, default=100, metavar="OPS",
         help="ops between journal writes (default 100)",
     )
-    parser.add_argument(
-        "--stop-after", type=int, default=None, metavar="OPS",
-        help="run at most N ops this invocation (resume later from the "
-             "journal)",
-    )
-    parser.add_argument(
-        "--storm-ops", type=int, default=None, metavar="OPS",
-        help="after N ops drop the injected rates to the calm rates",
-    )
-    parser.add_argument(
-        "--calm-fault-rate", type=float, default=0.0,
-        help="per-TR fault probability after the storm (default 0)",
-    )
-    parser.add_argument(
-        "--calm-shift-fault-rate", type=float, default=0.0,
-        help="per-shift fault probability after the storm (default 0)",
-    )
-    parser.add_argument(
-        "--storage-rows", type=int, default=0, metavar="N",
-        help="also drive validated regular reads/writes over N storage "
-             "rows (exercises the scrubber)",
-    )
-    parser.add_argument(
-        "--format", choices=("md", "html", "json"), default=None,
-        help="scoreboard format for the report command (default md)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="wall-clock repeats per bench kernel (default 3)",
-    )
-    parser.add_argument(
-        "--history", metavar="PATH", default=None,
+
+    groups["history"].add_argument(
+        "--history", metavar="PATH",
         help="history JSONL the bench/loadbench commands append to "
              "and, without --compare, report drift against (defaults: "
              "BENCH_history.jsonl for bench, LOADBENCH_history.jsonl "
              "for loadbench)",
     )
-    parser.add_argument(
+    groups["gate"].add_argument(
         "--no-history", action="store_true",
         help="neither read nor extend the bench history file",
     )
-    parser.add_argument(
-        "--compare", metavar="BASELINE", default=None,
+    groups["gate"].add_argument(
+        "--compare", metavar="BASELINE",
         help="gate the bench run against BASELINE (a bench history "
              "JSONL or one BENCH_pim_ops.json document); exits 1 on "
              "any regression verdict",
     )
-    parser.add_argument(
-        "--bench-out", metavar="PATH", default=None,
+    groups["gate"].add_argument(
+        "--bench-out", metavar="PATH",
         help="also write the bench document to PATH",
     )
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=0.25, metavar="FRAC",
+    groups["gate"].add_argument(
+        "--wall-tolerance", type=nonneg_float, default=0.25, metavar="FRAC",
         help="relative wall-clock noise band for bench verdicts "
              "(default 0.25)",
     )
-    parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="serve: bind address (default 127.0.0.1)",
+
+    groups["slo"].add_argument(
+        "--slo-burn-threshold", type=positive_float, default=14.4, metavar="X",
+        help="slo/loadbench: multi-window burn-rate alert threshold "
+             "(default 14.4, the SRE fast-page value)",
     )
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="serve: TCP port (default 0 = pick a free port)",
+    groups["slo"].add_argument(
+        "--slo-step", type=positive_float, default=6.0, metavar="SECONDS",
+        help="slo/loadbench: virtual seconds per completed request "
+             "(default 6; 50 requests = one fast window)",
     )
-    parser.add_argument(
-        "--port-file", metavar="PATH", default=None,
-        help="serve: write the bound port to PATH once listening "
-             "(lets scripts use --port 0 races-free)",
+
+    return groups
+
+
+def _add_commands(
+    commands,
+    key: str,
+    groups: Dict[str, argparse.ArgumentParser],
+    extra: List[argparse.ArgumentParser],
+) -> None:
+    """Add every command but ``profile`` to the ``commands`` subparsers.
+
+    A command's runner lands in the namespace attribute ``key``, its
+    subparser in ``parser`` (for the ``parser.error`` checks across
+    flags). It takes the flag ``groups`` it names plus ``extra``.
+    """
+
+    def command(name, run, help, *group_names, **defaults):
+        sub = commands.add_parser(
+            name,
+            help=help,
+            description=help,
+            parents=[*(groups[g] for g in group_names), *extra],
+        )
+        sub.set_defaults(parser=sub, **{key: run}, **defaults)
+        return sub
+
+    for name, run in _EXPERIMENTS.items():
+        if name != "report":  # the scoreboard command is below
+            command(
+                name, _run_experiment, run.__doc__, "output", "metrics",
+                experiment=run,
+            )
+
+    report = command(
+        "report", _run_report_command,
+        "reproduction-fidelity scoreboard", "output", "metrics",
     )
-    parser.add_argument(
-        "--profile", action="append", metavar="NAME[:k=v,...]",
-        default=None,
-        help="serve: add a device profile, e.g. "
-             "storm:trd=7,tr_fault_rate=0.4 (repeatable; 'default' "
-             "always exists); loadbench: the load-mix name "
-             "(mixed, arithmetic, analytics; default mixed)",
+    report.add_argument(
+        "--format", choices=("md", "html", "json"),
+        help="scoreboard format for the report command (default md)",
     )
-    parser.add_argument(
-        "--requests", type=int, default=50, metavar="N",
+
+    command("all", _run_all, "every table and figure", "output")
+
+    add = command(
+        "add", _run_add, "one PIM addition with its cycle cost",
+        "output", "trd",
+    )
+    add.add_argument("first", type=nonneg_int, metavar="OPERAND")
+    add.add_argument(
+        "rest", type=nonneg_int, nargs="+", metavar="OPERAND",
+        help="non-negative integers to add (at least two)",
+    )
+
+    mult = command(
+        "mult", _run_mult, "one PIM multiplication with its cycle cost",
+        "output", "trd",
+    )
+    mult.add_argument("a", type=nonneg_int, metavar="A")
+    mult.add_argument(
+        "b", type=nonneg_int, metavar="B",
+        help="the two non-negative integers to multiply",
+    )
+
+    campaign = command(
+        "campaign", _run_campaign,
+        "fault campaign, recovery on vs off (sharded with --shards or "
+        "--journal)",
+        "output", "metrics", "trd", "seed", "event_log", "sharding",
+    )
+    campaign.add_argument(
+        "--fault-rate", type=probability, default=1e-3,
+        help="injected per-TR fault probability for campaigns",
+    )
+    campaign.add_argument(
+        "--shift-fault-rate", type=probability, default=0.0,
+        help="injected per-shift fault probability for campaigns",
+    )
+    campaign.add_argument(
+        "--resilience", action=argparse.BooleanOptionalAction, default=True,
+        help="run campaigns under the resilient execution layer "
+             "(default; prints the unprotected baseline alongside); "
+             "--no-resilience runs them bare: faults silently corrupt "
+             "results",
+    )
+    campaign.add_argument(
+        "--ops", type=positive_int, default=1000,
+        help="operations per campaign (default 1000)",
+    )
+    campaign.add_argument(
+        "--scrub-interval", type=positive_int, metavar="OPS",
+        help="proactively scrub every N memory operations (campaigns)",
+    )
+    campaign.add_argument(
+        "--adaptive", action="store_true",
+        help="adaptive BARE->VOTED->NMR protection ladder per DBC "
+             "(campaigns; requires resilience)",
+    )
+    campaign.add_argument(
+        "--checkpoint", metavar="PATH",
+        help="journal campaign state to PATH; resumes from it if present "
+             "(single-process runs; sharded runs use --journal DIR)",
+    )
+    campaign.add_argument(
+        "--inject-worker-crash", type=crash_spec, metavar="SHARD:OP[:MODE]",
+        help="test/CI hook: SIGKILL (kill), hang (hang), or repeatedly "
+             "kill (kill-always) the worker of SHARD at global op OP",
+    )
+    campaign.add_argument(
+        "--stop-after", type=nonneg_int, metavar="OPS",
+        help="run at most N ops this invocation (resume later from the "
+             "journal)",
+    )
+    campaign.add_argument(
+        "--storm-ops", type=nonneg_int, metavar="OPS",
+        help="after N ops drop the injected rates to the calm rates",
+    )
+    campaign.add_argument(
+        "--calm-fault-rate", type=probability, default=0.0,
+        help="per-TR fault probability after the storm (default 0)",
+    )
+    campaign.add_argument(
+        "--calm-shift-fault-rate", type=probability, default=0.0,
+        help="per-shift fault probability after the storm (default 0)",
+    )
+    campaign.add_argument(
+        "--storage-rows", type=nonneg_int, default=0, metavar="N",
+        help="also drive validated regular reads/writes over N storage "
+             "rows (exercises the scrubber)",
+    )
+
+    mc = command(
+        "mc", _run_mc, "Monte Carlo fault-injection trials, sharded",
+        "output", "metrics", "trd", "seed", "event_log", "sharding",
+    )
+    mc.add_argument(
+        "kind", type=mc_kind, nargs="?", default="additions", metavar="KIND",
+        help="the trial kind (additions, multiplies, tmr_additions; "
+             "default additions)",
+    )
+    mc.add_argument(
+        "--fault-rate", type=nonzero_probability, default=1e-3,
+        help="injected per-TR fault probability for campaigns",
+    )
+    mc.add_argument(
+        "--trials", type=positive_int, default=1000, metavar="N",
+        help="Monte Carlo trials for the mc command (default 1000)",
+    )
+
+    trace = command(
+        "trace", _run_trace, "Chrome-trace one kernel end to end",
+        "output", "metrics", "trd",
+    )
+    trace.add_argument(
+        "kernel", nargs="?", default="mult", choices=_TRACE_KERNELS,
+        help="the kernel to trace (default mult)",
+    )
+    trace.add_argument(
+        "--out", metavar="PATH", default="trace.json",
+        help="Chrome trace output path for the trace command "
+             "(default trace.json)",
+    )
+
+    bench = command(
+        "bench", _run_bench, "bench kernels + regression gate",
+        "output", "history", "gate",
+    )
+    bench.add_argument(
+        "--repeats", type=positive_int, default=3, metavar="N",
+        help="wall-clock repeats per bench kernel (default 3)",
+    )
+
+    loadbench = command(
+        "loadbench", _run_loadbench,
+        "closed-loop service load bench + latency regression gate",
+        "output", "seed", "event_log", "budget", "mix", "history", "gate",
+        "slo",
+    )
+    loadbench.add_argument(
+        "--requests", type=positive_int, default=50, metavar="N",
         help="loadbench: schedule length (default 50)",
     )
-    parser.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
+    loadbench.add_argument(
+        "--duration", type=positive_float, metavar="SECONDS",
         help="loadbench: wall-clock cap; requests still unissued when "
              "it expires are counted as skipped (default: run the "
              "whole schedule)",
     )
-    parser.add_argument(
-        "--concurrency", type=int, default=2, metavar="N",
+    loadbench.add_argument(
+        "--concurrency", type=positive_int, default=2, metavar="N",
         help="loadbench: closed-loop generator threads, each waiting "
              "for its previous response before issuing the next "
              "request (default 2)",
     )
-    parser.add_argument(
-        "--event-log", metavar="PATH", default=None,
-        help="serve/loadbench/campaign/mc: write the structured "
-             "coruscant-events/1 JSONL event stream (size-rotated) to "
-             "PATH; campaign/mc records carry a shard_id",
+    loadbench.add_argument(
+        "--slo", action="store_true",
+        help="loadbench: replay the run through the SLO burn-rate "
+             "engine and exit 3 when an objective is violated",
     )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=16, metavar="N",
+
+    serve = command(
+        "serve", _run_serve, "the resilient kernel gateway",
+        "seed", "event_log", "budget",
+    )
+    serve.add_argument(
+        "--host", default="127.0.0.1",
+        help="serve: bind address (default 127.0.0.1)",
+    )
+    serve.add_argument(
+        "--port", type=tcp_port, default=0,
+        help="serve: TCP port (default 0 = pick a free port)",
+    )
+    serve.add_argument(
+        "--port-file", metavar="PATH",
+        help="serve: write the bound port to PATH once listening "
+             "(lets scripts use --port 0 races-free)",
+    )
+    serve.add_argument(
+        "--profile", action="append", metavar="NAME[:k=v,...]",
+        help="serve: add a device profile, e.g. "
+             "storm:trd=7,tr_fault_rate=0.4 (repeatable; 'default' "
+             "always exists)",
+    )
+    serve.add_argument(
+        "--workers", type=positive_int, default=2, metavar="N",
+        help="serve: worker systems per device profile (default 2)",
+    )
+    serve.add_argument(
+        "--queue-capacity", type=positive_int, default=16, metavar="N",
         help="serve: per-kernel queue slots batch traffic may fill "
              "(default 16)",
     )
-    parser.add_argument(
-        "--high-reserve", type=int, default=4, metavar="N",
+    serve.add_argument(
+        "--high-reserve", type=nonneg_int, default=4, metavar="N",
         help="serve: extra queue slots only interactive requests may "
              "use (default 4)",
     )
-    parser.add_argument(
-        "--retry-attempts", type=int, default=3, metavar="N",
+    serve.add_argument(
+        "--retry-attempts", type=positive_int, default=3, metavar="N",
         help="serve: tries per work item, 1 = no retry (default 3)",
     )
-    parser.add_argument(
-        "--breaker-open-seconds", type=float, default=5.0,
+    serve.add_argument(
+        "--breaker-open-seconds", type=positive_float, default=5.0,
         metavar="SECONDS",
         help="serve: wall-clock cooldown before an open breaker "
              "half-opens (default 5)",
     )
-    parser.add_argument(
-        "--default-budget-s", type=float, default=10.0,
-        metavar="SECONDS",
-        help="serve: deadline budget for requests that do not carry "
-             "one (default 10)",
-    )
-    parser.add_argument(
+    serve.add_argument(
         "--enable-profiling", action="store_true",
         help="serve: allow POST /debug/profile/start|stop on the "
              "gateway (rejected 403 otherwise)",
     )
-    parser.add_argument(
-        "--profile-out", metavar="PATH",
-        default="profile.speedscope.json",
-        help="profile: speedscope JSON output path "
-             "(default profile.speedscope.json)",
+
+    slo_report = command(
+        "slo", _run_slo,
+        "multi-window SLO burn-rate report over the loadbench history",
+        "output", "history", "slo",
     )
-    parser.add_argument(
-        "--folded-out", metavar="PATH", default=None,
-        help="profile: also write collapsed-stack text "
-             "(flamegraph.pl / speedscope import format) to PATH",
+    slo_report.add_argument(
+        "--format", choices=("md", "json"),
+        help="report format (default md)",
     )
-    parser.add_argument(
-        "--profile-record", metavar="PATH", default=None,
-        help="profile: append the coruscant-profile/1 JSONL record "
-             "(folded stacks + phases + per-request ledger) to PATH",
+
+    chaos = command(
+        "chaos", _run_chaos,
+        "seed-reproducible service-stack chaos campaign",
+        "output", "seed", "mix",
     )
-    parser.add_argument(
-        "--profile-interval-ms", type=float, default=5.0, metavar="MS",
-        help="profile: wall sampling interval in milliseconds "
-             "(default 5)",
-    )
-    parser.add_argument(
-        "--virtual-clock", action="store_true",
-        help="profile: derive deterministic folded stacks from the "
-             "simulated span tree + device cycle counters instead of "
-             "wall sampling (bit-identical across runs)",
-    )
-    parser.add_argument(
-        "--faults", metavar="SPEC", default=None,
+    chaos.add_argument(
+        "--faults", type=fault_specs, default="worker-crash:1,torn-wal:1",
+        metavar="SPEC",
         help="chaos: comma-joined kind:count[@param] fault specs, e.g. "
              "worker-crash:2,torn-wal:2,kernel-latency:4@0.002 "
              "(default worker-crash:1,torn-wal:1)",
     )
-    parser.add_argument(
-        "--duration-ops", type=int, default=40, metavar="N",
+    chaos.add_argument(
+        "--duration-ops", type=positive_int, default=40, metavar="N",
         help="chaos: operations in the campaign's load schedule "
              "(default 40)",
     )
-    parser.add_argument(
-        "--report-out", metavar="PATH", default=None,
+    chaos.add_argument(
+        "--journal", metavar="DIR",
+        help="chaos: directory for the request journal (default: a "
+             "fresh temporary directory)",
+    )
+    chaos.add_argument(
+        "--report-out", metavar="PATH",
         help="chaos: write the canonical coruscant-chaos/1 report "
              "(sorted-key JSON, byte-identical across runs of one "
              "seed) to PATH",
     )
-    parser.add_argument(
+    chaos.add_argument(
         "--inject-invariant-violation", action="store_true",
         help="chaos: CI hook — fabricate a lost acked request so the "
              "no-acked-request-lost invariant goes red and the command "
              "exits 3",
     )
-    parser.add_argument(
-        "--slo", action="store_true",
-        help="loadbench: replay the run through the SLO burn-rate "
-             "engine and exit 3 when an objective is violated",
-    )
-    parser.add_argument(
-        "--slo-burn-threshold", type=float, default=14.4, metavar="X",
-        help="slo/loadbench: multi-window burn-rate alert threshold "
-             "(default 14.4, the SRE fast-page value)",
-    )
-    parser.add_argument(
-        "--slo-step", type=float, default=6.0, metavar="SECONDS",
-        help="slo/loadbench: virtual seconds per completed request "
-             "(default 6; 50 requests = one fast window)",
-    )
-    args = parser.parse_args(argv)
-    if args.command == "profile":
-        return _run_profile(parser, args)
-    return _dispatch(parser, args)
 
 
-def _dispatch(parser: argparse.ArgumentParser, args) -> int:
-    """Post-parse command dispatch.
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subcommand per command.
 
-    Factored out of :func:`main` so the ``profile`` command can re-enter
-    it with the wrapped command's flags after installing the profiler.
+    Every subcommand accepts only the flags its runner reads and checks
+    their values as it parses them. ``profile`` nests a second copy of
+    the command set whose subcommands also take the profiler's flags.
     """
-    writer = OutputWriter(json_mode=args.json)
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="CORUSCANT processing-in-racetrack-memory simulator",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    groups = _flag_groups()
+    _add_commands(commands, "run", groups, extra=[])
 
-    if args.command == "slo":
-        return _run_slo(parser, args)
-    if args.command == "chaos":
-        return _run_chaos(parser, args)
-    if args.command == "serve":
-        if args.queue_capacity < 1:
-            parser.error("--queue-capacity must be >= 1")
-        if args.high_reserve < 0:
-            parser.error("--high-reserve must be >= 0")
-        if args.retry_attempts < 1:
-            parser.error("--retry-attempts must be >= 1")
-        if args.breaker_open_seconds <= 0:
-            parser.error("--breaker-open-seconds must be > 0")
-        if args.default_budget_s <= 0:
-            parser.error("--default-budget-s must be > 0")
-        if args.workers is not None and args.workers < 1:
-            parser.error("--workers must be >= 1 for serve")
-        return _run_serve(parser, args)
-    if args.command == "report":
-        return _run_report_command(args)
-    if args.command == "bench":
-        if args.repeats < 1:
-            parser.error("--repeats must be >= 1")
-        if args.wall_tolerance < 0:
-            parser.error("--wall-tolerance must be >= 0")
-        code = _run_bench(writer, args)
-        writer.close(code)
-        return code
-    if args.command == "loadbench":
-        if args.requests < 1:
-            parser.error("--requests must be >= 1")
-        if args.concurrency < 1:
-            parser.error("--concurrency must be >= 1")
-        if args.duration is not None and args.duration <= 0:
-            parser.error("--duration must be > 0")
-        if args.wall_tolerance < 0:
-            parser.error("--wall-tolerance must be >= 0")
-        if args.default_budget_s <= 0:
-            parser.error("--default-budget-s must be > 0")
-        if args.profile is not None and len(args.profile) != 1:
-            parser.error("loadbench takes exactly one --profile")
-        if args.slo_burn_threshold <= 0:
-            parser.error("--slo-burn-threshold must be > 0")
-        if args.slo_step <= 0:
-            parser.error("--slo-step must be > 0")
-        code = _run_loadbench(writer, args)
-        writer.close(code)
-        return code
-    if args.command == "trace":
-        code = _run_trace(writer, args)
-        writer.close(code)
-        return code
-    if args.command == "mc":
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        if not 0.0 < args.fault_rate <= 1.0:
-            parser.error("--fault-rate must be in (0, 1] for mc")
-        if args.inject_worker_crash:
-            parser.error("--inject-worker-crash applies to campaign only")
-        _validate_shard_flags(parser, args)
-        hub, event_log = _shard_telemetry(args, sharded=True)
-        try:
-            code = _run_mc(writer, args, telemetry=hub)
-        finally:
-            if event_log is not None:
-                event_log.close()
-        if hub is not None and args.metrics_json:
-            _dump_metrics(hub, args.metrics_json)
-        writer.close(code)
-        return code
-    if args.command == "campaign":
-        if args.ops < 1:
-            parser.error("--ops must be >= 1")
-        for name in (
-            "fault_rate",
-            "shift_fault_rate",
-            "calm_fault_rate",
-            "calm_shift_fault_rate",
-        ):
-            if not 0.0 <= getattr(args, name) <= 1.0:
-                flag = "--" + name.replace("_", "-")
-                parser.error(f"{flag} must be a probability in [0, 1]")
-        if args.adaptive and not args.resilience:
-            parser.error("--adaptive requires the resilient layer "
-                         "(drop --no-resilience)")
-        if args.scrub_interval is not None and args.scrub_interval < 1:
-            parser.error("--scrub-interval must be >= 1")
-        if args.checkpoint_every < 1:
-            parser.error("--checkpoint-every must be >= 1")
-        if args.stop_after is not None and args.stop_after < 0:
-            parser.error("--stop-after must be >= 0")
-        if args.storage_rows < 0:
-            parser.error("--storage-rows must be >= 0")
-        _validate_shard_flags(parser, args)
-        sharded = args.shards is not None or bool(args.journal)
-        hub, event_log = _shard_telemetry(args, sharded=sharded)
-        try:
-            if sharded:
-                if args.checkpoint:
-                    parser.error(
-                        "sharded campaigns journal per shard; use "
-                        "--journal DIR instead of --checkpoint"
-                    )
-                if args.stop_after is not None:
-                    parser.error(
-                        "--stop-after is the single-process crash "
-                        "stand-in; sharded runs are interrupted per "
-                        "worker instead"
-                    )
-                args.shards = args.shards or 1
-                code = _run_sharded_campaign(writer, args, telemetry=hub)
-            else:
-                code = _run_campaign(writer, args, telemetry=hub)
-        finally:
-            if event_log is not None:
-                event_log.close()
-        if hub is not None and args.metrics_json:
-            _dump_metrics(hub, args.metrics_json)
-        writer.close(code)
-        return code
-    if args.command == "all":
-        for run in _EXPERIMENTS.values():
-            run(writer)
-        writer.close()
-        return 0
-    if args.command == "add":
-        if len(args.operands) < 2:
-            parser.error("add needs at least two operands")
-        _run_add(writer, _int_operands(parser, args, "add"), args.trd)
-        writer.close()
-        return 0
-    if args.command == "mult":
-        if len(args.operands) != 2:
-            parser.error("mult needs exactly two operands")
-        values = _int_operands(parser, args, "mult")
-        _run_mult(writer, values[0], values[1], args.trd)
-        writer.close()
-        return 0
-    if args.metrics_json:
-        # Experiment commands build DBCs internally; the process-wide
-        # active hub catches their device-level stats.
-        from repro.telemetry import TelemetryHub, runtime
+    profile = commands.add_parser(
+        "profile",
+        help="wrap another command in the sampling profiler",
+        description="Run another repro command under the sampling "
+                    "profiler; the profiler's flags follow the wrapped "
+                    "command's own.",
+    )
+    profile.set_defaults(run=_run_profile)
+    profiling = argparse.ArgumentParser(add_help=False)
+    profiling.add_argument(
+        "--profile-out", metavar="PATH", default="profile.speedscope.json",
+        help="profile: speedscope JSON output path "
+             "(default profile.speedscope.json)",
+    )
+    profiling.add_argument(
+        "--folded-out", metavar="PATH",
+        help="profile: also write collapsed-stack text "
+             "(flamegraph.pl / speedscope import format) to PATH",
+    )
+    profiling.add_argument(
+        "--profile-record", metavar="PATH",
+        help="profile: append the coruscant-profile/1 JSONL record "
+             "(folded stacks + phases + per-request ledger) to PATH",
+    )
+    profiling.add_argument(
+        "--profile-interval-ms", type=positive_float, default=5.0,
+        metavar="MS",
+        help="profile: wall sampling interval in milliseconds "
+             "(default 5)",
+    )
+    profiling.add_argument(
+        "--virtual-clock", action="store_true",
+        help="profile: derive deterministic folded stacks from the "
+             "simulated span tree + device cycle counters instead of "
+             "wall sampling (bit-identical across runs)",
+    )
+    _add_commands(
+        profile.add_subparsers(dest="wrapped", required=True),
+        "run_wrapped",
+        groups,
+        extra=[profiling],
+    )
+    return parser
 
-        hub = TelemetryHub()
-        with runtime.activated(hub):
-            _EXPERIMENTS[args.command](writer)
-        _dump_metrics(hub, args.metrics_json)
-    else:
-        _EXPERIMENTS[args.command](writer)
-    writer.close()
-    return 0
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Tuple
 from repro.arch.dbc import DomainBlockCluster, SenseVoteStats
 from repro.device.stats import DeviceStats
 from repro.resilience.health import DBCHealth, DBCHealthRegistry
+from repro.utils.durable import atomic_write
 
 # v2 adds the campaign config hash and shard identity to the journal
 # header; v1 journals (pre-sharding) are still readable.
@@ -146,19 +147,15 @@ def restore_health_state(
 def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
     """Atomically persist ``payload`` (plus a format header) to ``path``.
 
-    The write lands in a sibling temp file first and is renamed over the
-    target, so an interruption at any instant leaves either the previous
+    The write goes through :func:`~repro.utils.durable.atomic_write`,
+    so an interruption at any instant leaves either the previous
     checkpoint or the new one — never a torn journal.
     """
     document = {"format": FORMAT_VERSION, **payload}
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = path + ".tmp"
-    os.makedirs(directory, exist_ok=True)
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    atomic_write(
+        path, json.dumps(document, separators=(",", ":")).encode("utf-8")
+    )
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:

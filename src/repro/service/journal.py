@@ -32,6 +32,7 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from repro.chaos import hooks
+from repro.utils.durable import atomic_write
 
 JOURNAL_SCHEMA = "coruscant-journal/1"
 
@@ -214,10 +215,10 @@ class RequestJournal:
         """Atomically rewrite the journal to its live state.
 
         Keeps every ack (the idempotency history) and only un-acked
-        intents. Uses the checkpoint v2 swap: temp file, ``fsync``,
-        ``os.replace`` — a crash at any point leaves a valid journal.
+        intents. Swaps the file with
+        :func:`~repro.utils.durable.atomic_write` — a crash at any point
+        leaves a valid journal.
         """
-        tmp_path = f"{self.path}.tmp"
         with self._lock:
             records: List[Dict[str, Any]] = [
                 dict(self._intents[key])
@@ -227,24 +228,17 @@ class RequestJournal:
             records.extend(
                 dict(record) for record in self._acks.values()
             )
+            data = "".join(
+                json.dumps(record, sort_keys=True) + "\n" for record in records
+            ).encode("utf-8")
             try:
-                with open(tmp_path, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
                 if not self._fh.closed:
                     self._fh.close()
-                os.replace(tmp_path, self.path)
+                atomic_write(self.path, data)
             except OSError:
                 self.write_errors += 1
             finally:
                 self._fh = open(self.path, "a", encoding="utf-8")
-                if os.path.exists(tmp_path):
-                    try:
-                        os.remove(tmp_path)
-                    except OSError:
-                        pass
 
     def close(self) -> None:
         with self._lock:

@@ -56,6 +56,27 @@ class TestExitUsage:
             ["serve", "--breaker-open-seconds", "0"],
             ["serve", "--default-budget-s", "0"],
             ["serve", "--profile", "storm:not_a_field=1"],
+            # Unknown positional values, checked while parsing.
+            ["mc", "divisions"],
+            ["trace", "bogus"],
+            ["loadbench", "--profile", "bogusmix", "--no-history"],
+            ["campaign", "--shards", "1", "--inject-worker-crash", "bad"],
+            # Operands the 64-track demo system cannot take.
+            ["add", "-5", "3"],
+            ["mult", "-3", "4"],
+            ["add", "1", "99999999999999999999999"],
+            # Flags the command never reads.
+            ["table1", "--ops", "0"],
+            ["serve", "--trials", "3"],
+            ["bench", "--metrics-json", "m.json"],
+            # Same range as campaign's --checkpoint-every.
+            ["mc", "--checkpoint-every", "0"],
+            # Values the library rejects only after the command started.
+            ["campaign", "--storm-ops", "-5"],
+            ["serve", "--port", "70000"],
+            # More shards than there is work to split.
+            ["campaign", "--ops", "2", "--shards", "4"],
+            ["mc", "--trials", "2", "--shards", "4"],
         ],
     )
     def test_bad_invocations_exit_two(self, argv, capsys):
