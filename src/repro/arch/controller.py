@@ -176,16 +176,14 @@ class MemoryController:
         dbc = self._dbc(instruction.src)
         with hub.tracer.span(f"cpim.{op_name}", category="cpim") as span:
             cycles_before = dbc.stats.cycles
-            energy_before = dbc.stats.energy_pj
+            energy_before = dbc.stats.energy_fj
             trs_before = dbc.stats.count("transverse_read")
             result = self._dispatch(instruction)
             cycles = dbc.stats.cycles - cycles_before
-            energy = dbc.stats.energy_pj - energy_before
+            energy = (dbc.stats.energy_fj - energy_before) / 1000
             trs = dbc.stats.count("transverse_read") - trs_before
             span.annotate(
-                cycles=cycles,
-                energy_pj=round(energy, 3),
-                transverse_reads=trs,
+                cycles=cycles, energy_pj=energy, transverse_reads=trs
             )
             hub.cpim_op(op_name, cycles, energy, trs)
         self._notify_op()
@@ -258,11 +256,12 @@ class MemoryController:
             .tile(address.tile)
             .dbc(address.dbc)
         )
-        if self.telemetry is not None and dbc.stats.sink is None:
-            # Lazily-materialised clusters join the telemetry stream the
-            # first time the controller touches them.
-            dbc.stats.sink = self.telemetry
-            dbc.tracer = self.telemetry.tracer
+        hub = self.telemetry
+        if hub is not None and dbc.stats.hub is not hub:
+            # Lazily-materialised clusters join the hub the first time
+            # the controller touches them.
+            hub.claim(dbc.stats)
+            dbc.tracer = hub.tracer
         return dbc
 
     def _account_access(

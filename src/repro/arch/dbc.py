@@ -465,7 +465,7 @@ class DomainBlockCluster:
 
         The writes of one addition step, as one call. They must hit
         distinct cells. The stats end up exactly as after one
-        ``write_bit`` per entry: each write's energy is added on its own.
+        ``write_bit`` per entry.
         """
         n = len(tracks)
         if len(ports) != n or len(bits) != n:
@@ -480,9 +480,7 @@ class DomainBlockCluster:
         port_at = self._ports
         for track, port, bit in zip(tracks, ports, bits):
             plane[port_at[port], track] = bit
-        self.stats.record_each(
-            "write_bit", 0, self.params.write.energy_pj, n
-        )
+        self.stats.record("write_bit", 0, self.params.write.energy_pj, n)
 
     def tick(self, cycles: int = 1, label: str = "tick") -> None:
         """Account cycles with no device activity (controller overhead)."""

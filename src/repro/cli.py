@@ -79,6 +79,7 @@ import contextlib
 import functools
 import importlib
 import json
+import os
 import re
 import sys
 from typing import Any, Callable, Dict, List, Optional
@@ -606,29 +607,31 @@ EXIT_INCOMPLETE_SHARDS = EXIT_DEGRADED
 def _campaign_config(args):
     from repro.reliability.campaign import CampaignConfig
 
-    return CampaignConfig(
-        ops=args.ops,
-        tr_fault_rate=args.fault_rate,
-        shift_fault_rate=args.shift_fault_rate,
-        trd=args.trd,
-        seed=args.seed,
-        recovery=args.resilience,
-        scrub_interval=args.scrub_interval,
-        adaptive=args.adaptive,
-        storm_ops=args.storm_ops,
-        calm_tr_fault_rate=args.calm_fault_rate,
-        calm_shift_fault_rate=args.calm_shift_fault_rate,
-        storage_rows=args.storage_rows,
-    )
+    try:
+        return CampaignConfig(
+            ops=args.ops,
+            tr_fault_rate=args.fault_rate,
+            shift_fault_rate=args.shift_fault_rate,
+            trd=args.trd,
+            seed=args.seed,
+            recovery=args.resilience,
+            scrub_interval=args.scrub_interval,
+            adaptive=args.adaptive,
+            storm_ops=args.storm_ops,
+            calm_tr_fault_rate=args.calm_fault_rate,
+            calm_shift_fault_rate=args.calm_shift_fault_rate,
+            storage_rows=args.storage_rows,
+        )
+    except ValueError as exc:  # flag values the campaign cannot take
+        args.parser.error(str(exc))
 
 
-def _run_sharded_campaign(writer: OutputWriter, args, telemetry) -> int:
+def _run_sharded_campaign(writer: OutputWriter, args, config, hub) -> int:
     from repro.reliability.sharded import (
         CAMPAIGN_SCHEMA,
         run_sharded_campaign,
     )
 
-    config = _campaign_config(args)
     result = run_sharded_campaign(
         config,
         shards=args.shards or 1,
@@ -637,7 +640,7 @@ def _run_sharded_campaign(writer: OutputWriter, args, telemetry) -> int:
         shard_timeout=args.shard_timeout,
         max_shard_retries=args.max_shard_retries,
         checkpoint_every=args.checkpoint_every,
-        telemetry=telemetry,
+        telemetry=hub,
         crash=args.inject_worker_crash,
     )
     summaries = result.shard_summaries()
@@ -815,18 +818,18 @@ def _run_campaign(writer: OutputWriter, args) -> int:
         if args.workers == 0:
             error("--inject-worker-crash needs worker processes "
                   "(--workers >= 1); in-process shards cannot be killed")
+    config = _campaign_config(args)
     run = _run_sharded_campaign if sharded else _run_local_campaign
     with _shard_telemetry(args, sharded=sharded) as telemetry:
-        return run(writer, args, telemetry)
+        return run(writer, args, config, telemetry)
 
 
-def _run_local_campaign(writer: OutputWriter, args, telemetry) -> int:
+def _run_local_campaign(writer: OutputWriter, args, config, hub) -> int:
     from repro.reliability.campaign import (
         run_add_campaign,
         run_recovery_comparison,
     )
 
-    config = _campaign_config(args)
     if args.checkpoint:
         # Journaled (and resumable) runs are single-leg: a bare baseline
         # sharing the journal would corrupt the resume stream.
@@ -837,14 +840,14 @@ def _run_local_campaign(writer: OutputWriter, args, telemetry) -> int:
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=args.checkpoint_every,
                 stop_after=args.stop_after,
-                telemetry=telemetry,
+                telemetry=hub,
             )
         }
     elif args.resilience:
-        runs = run_recovery_comparison(config, telemetry=telemetry)
+        runs = run_recovery_comparison(config, telemetry=hub)
     else:
         runs = {
-            "recovery_off": run_add_campaign(config, telemetry=telemetry)
+            "recovery_off": run_add_campaign(config, telemetry=hub)
         }
     from repro.reliability.sharded import CAMPAIGN_SCHEMA
 
@@ -1186,6 +1189,10 @@ nonzero_probability = _checked(
     float, lambda v: 0.0 < v <= 1.0, "a probability in (0, 1]"
 )
 tcp_port = _checked(int, lambda v: 0 <= v <= 65535, "a port in [0, 65535]")
+out_path = _checked(
+    str, lambda p: os.path.isdir(os.path.dirname(p) or "."),
+    "a file path in an existing directory",
+)
 
 _CRASH_SPEC = re.compile(r"(\d+):(\d+)(?::(kill|hang|kill-always))?")
 
@@ -1256,28 +1263,27 @@ def _flag_groups() -> Dict[str, argparse.ArgumentParser]:
         help="emit the command's result as one JSON document on stdout",
     )
     groups["metrics"].add_argument(
-        "--metrics-json", metavar="PATH",
+        "--metrics-json", type=out_path, metavar="PATH",
         help="dump the telemetry metrics registry gathered while the "
-             "command ran to PATH (trace, campaign, report)",
+             "command ran to PATH",
     )
     groups["trd"].add_argument(
         "--trd", type=int, default=7, choices=(3, 5, 7),
         help="transverse read distance (default 7)",
     )
     groups["seed"].add_argument(
-        "--seed", type=int, default=0, help="campaign RNG seed",
+        "--seed", type=int, default=0, help="RNG seed (default 0)",
     )
     groups["event_log"].add_argument(
         "--event-log", metavar="PATH",
-        help="serve/loadbench/campaign/mc: write the structured "
-             "coruscant-events/1 JSONL event stream (size-rotated) to "
-             "PATH; campaign/mc records carry a shard_id",
+        help="write the structured coruscant-events/1 JSONL event "
+             "stream (size-rotated) to PATH",
     )
     groups["budget"].add_argument(
         "--default-budget-s", type=positive_float, default=10.0,
         metavar="SECONDS",
-        help="serve: deadline budget for requests that do not carry "
-             "one (default 10)",
+        help="deadline budget for requests that do not carry one "
+             "(default 10)",
     )
     groups["mix"].add_argument(
         "--profile", type=load_mix, default="mixed", metavar="NAME",
@@ -1287,7 +1293,7 @@ def _flag_groups() -> Dict[str, argparse.ArgumentParser]:
 
     groups["sharding"].add_argument(
         "--shards", type=positive_int, metavar="N",
-        help="split the campaign/mc run into N supervised worker "
+        help="split the run into N supervised worker "
              "processes with per-shard journals and a merged report "
              "bit-identical to the single-process run",
     )
@@ -1318,39 +1324,38 @@ def _flag_groups() -> Dict[str, argparse.ArgumentParser]:
 
     groups["history"].add_argument(
         "--history", metavar="PATH",
-        help="history JSONL the bench/loadbench commands append to "
-             "and, without --compare, report drift against (defaults: "
-             "BENCH_history.jsonl for bench, LOADBENCH_history.jsonl "
-             "for loadbench)",
+        help="history JSONL of earlier runs (default: this command's "
+             "own, BENCH_history.jsonl or LOADBENCH_history.jsonl)",
     )
     groups["gate"].add_argument(
         "--no-history", action="store_true",
-        help="neither read nor extend the bench history file",
+        help="neither read nor extend the history file",
     )
     groups["gate"].add_argument(
         "--compare", metavar="BASELINE",
-        help="gate the bench run against BASELINE (a bench history "
-             "JSONL or one BENCH_pim_ops.json document); exits 1 on "
-             "any regression verdict",
+        help="gate this run against BASELINE (a history JSONL or one "
+             "result document of this command) and exit 1 on any "
+             "regression verdict; without it, drift against the last "
+             "history entry is reported, not gated",
     )
     groups["gate"].add_argument(
-        "--bench-out", metavar="PATH",
-        help="also write the bench document to PATH",
+        "--bench-out", type=out_path, metavar="PATH",
+        help="also write this run's result document to PATH",
     )
     groups["gate"].add_argument(
         "--wall-tolerance", type=nonneg_float, default=0.25, metavar="FRAC",
-        help="relative wall-clock noise band for bench verdicts "
+        help="relative wall-clock noise band for regression verdicts "
              "(default 0.25)",
     )
 
     groups["slo"].add_argument(
         "--slo-burn-threshold", type=positive_float, default=14.4, metavar="X",
-        help="slo/loadbench: multi-window burn-rate alert threshold "
+        help="multi-window burn-rate alert threshold "
              "(default 14.4, the SRE fast-page value)",
     )
     groups["slo"].add_argument(
         "--slo-step", type=positive_float, default=6.0, metavar="SECONDS",
-        help="slo/loadbench: virtual seconds per completed request "
+        help="virtual seconds per completed request "
              "(default 6; 50 requests = one fast window)",
     )
 
@@ -1512,7 +1517,7 @@ def _add_commands(
         help="the kernel to trace (default mult)",
     )
     trace.add_argument(
-        "--out", metavar="PATH", default="trace.json",
+        "--out", type=out_path, metavar="PATH", default="trace.json",
         help="Chrome trace output path for the trace command "
              "(default trace.json)",
     )
@@ -1640,7 +1645,7 @@ def _add_commands(
              "fresh temporary directory)",
     )
     chaos.add_argument(
-        "--report-out", metavar="PATH",
+        "--report-out", type=out_path, metavar="PATH",
         help="chaos: write the canonical coruscant-chaos/1 report "
              "(sorted-key JSON, byte-identical across runs of one "
              "seed) to PATH",
@@ -1678,12 +1683,13 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(run=_run_profile)
     profiling = argparse.ArgumentParser(add_help=False)
     profiling.add_argument(
-        "--profile-out", metavar="PATH", default="profile.speedscope.json",
+        "--profile-out", type=out_path, metavar="PATH",
+        default="profile.speedscope.json",
         help="profile: speedscope JSON output path "
              "(default profile.speedscope.json)",
     )
     profiling.add_argument(
-        "--folded-out", metavar="PATH",
+        "--folded-out", type=out_path, metavar="PATH",
         help="profile: also write collapsed-stack text "
              "(flamegraph.pl / speedscope import format) to PATH",
     )

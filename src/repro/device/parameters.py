@@ -30,7 +30,7 @@ def _intrinsic_tr_fault_rate() -> float:
 
 @dataclass(frozen=True)
 class TimingEnergy:
-    """Latency (cycles) and energy (pJ) of one device-level operation."""
+    """Latency (cycles) and energy (pJ, whole fJ) of one device-level op."""
 
     cycles: int
     energy_pj: float
@@ -40,6 +40,13 @@ class TimingEnergy:
             raise ValueError(f"cycles must be >= 0, got {self.cycles}")
         if self.energy_pj < 0:
             raise ValueError(f"energy_pj must be >= 0, got {self.energy_pj}")
+        # Device ledgers sum whole femtojoules; an energy between two
+        # would lose its remainder on every record.
+        fj = self.energy_pj * 1000
+        if abs(fj - round(fj)) > 1e-6:
+            raise ValueError(
+                f"energy_pj must be a whole number of fJ, got {self.energy_pj}"
+            )
 
 
 @dataclass(frozen=True)

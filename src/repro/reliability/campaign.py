@@ -32,6 +32,7 @@ import random
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.arch.geometry import MemoryGeometry
 from repro.core.isa import Address, CpimInstruction, CpimOp
 from repro.device.faults import FaultConfig
 from repro.reliability.op_error import add_error_probability
@@ -110,6 +111,13 @@ class CampaignConfig:
         if self.storage_rows < 0:
             raise ValueError(
                 f"storage_rows must be >= 0, got {self.storage_rows}"
+            )
+        # The campaign system keeps the geometry's rows per DBC.
+        rows = MemoryGeometry().rows_per_dbc
+        if self.storage_rows > rows:
+            raise ValueError(
+                f"storage_rows={self.storage_rows} exceeds the "
+                f"{rows}-row storage DBC"
             )
 
     def fingerprint(self) -> Dict[str, Any]:
@@ -235,7 +243,6 @@ def shard_bounds(ops: int, shard: int, shards: int) -> Tuple[int, int]:
 
 def _campaign_system(config: CampaignConfig, shard: int = 0, telemetry=None):
     """Build the system under test (import deferred to avoid cycles)."""
-    from repro.arch.geometry import MemoryGeometry
     from repro.sim.system import CoruscantSystem
 
     policy = config.policy or RetryPolicy()
@@ -325,11 +332,6 @@ def run_add_campaign(
         dest=address,
         operands=config.operands,
     )
-    if config.storage_rows > _storage_dbc(system).domains:
-        raise ValueError(
-            f"storage_rows={config.storage_rows} exceeds the "
-            f"{_storage_dbc(system).domains}-row storage DBC"
-        )
     rng = derive_stream(config.seed, "campaign.operands", shard)
     injector = dbc.injector
     result = CampaignResult(

@@ -68,7 +68,7 @@ def dbc_state(dbc: DomainBlockCluster) -> Dict[str, Any]:
             for domains, offset in zip(dbc.track_domains(), dbc.offsets)
         ],
         "commanded_offset": commanded,
-        "stats": device_stats_state(dbc.stats),
+        "stats": dbc.stats.as_dict(),
         "vote_stats": vote_stats_state(dbc.vote_stats),
     }
 
@@ -90,23 +90,17 @@ def restore_dbc_state(dbc: DomainBlockCluster, state: Dict[str, Any]) -> None:
     dbc.vote_stats = SenseVoteStats(**state["vote_stats"])
 
 
-def device_stats_state(stats: DeviceStats) -> Dict[str, Any]:
-    return {
-        "op_counts": dict(stats.op_counts),
-        "op_cycles": dict(stats.op_cycles),
-        "op_energy_pj": dict(stats.op_energy_pj),
-        "cycles": stats.cycles,
-        "energy_pj": stats.energy_pj,
-    }
-
-
 def restore_device_stats(stats: DeviceStats, state: Dict[str, Any]) -> None:
+    # Journals hold picojoules; the ledger counts whole femtojoules.
     stats.op_counts = dict(state["op_counts"])
     # Journals written before per-op breakdowns existed lack these keys.
     stats.op_cycles = dict(state.get("op_cycles", {}))
-    stats.op_energy_pj = dict(state.get("op_energy_pj", {}))
+    stats.op_energy_fj = {
+        op: round(pj * 1000)
+        for op, pj in state.get("op_energy_pj", {}).items()
+    }
     stats.cycles = state["cycles"]
-    stats.energy_pj = state["energy_pj"]
+    stats.energy_fj = round(state["energy_pj"] * 1000)
 
 
 def vote_stats_state(stats: SenseVoteStats) -> Dict[str, int]:
@@ -263,7 +257,6 @@ __all__ = [
     "CheckpointMismatchError",
     "config_hash",
     "dbc_state",
-    "device_stats_state",
     "discard_torn_temp",
     "health_state",
     "load_checkpoint",

@@ -147,9 +147,10 @@ class CoruscantSystem:
         dbc = self.memory.pim_dbc(bank=bank, subarray=subarray)
         if self.policy is not None:
             dbc.tr_vote_reads = self.policy.tr_vote_reads
-        if self.telemetry is not None and dbc.stats.sink is None:
-            dbc.stats.sink = self.telemetry
-            dbc.tracer = self.telemetry.tracer
+        hub = self.telemetry
+        if hub is not None and dbc.stats.hub is not hub:
+            hub.claim(dbc.stats)
+            dbc.tracer = hub.tracer
         return dbc
 
     @contextmanager
@@ -160,12 +161,12 @@ class CoruscantSystem:
             yield
             return
         cycles_before = dbc.stats.cycles
-        energy_before = dbc.stats.energy_pj
+        energy_before = dbc.stats.energy_fj
         with hub.tracer.span(f"pim.{op}", category="pim") as span:
             yield
             cycles = dbc.stats.cycles - cycles_before
-            energy = dbc.stats.energy_pj - energy_before
-            span.annotate(cycles=cycles, energy_pj=round(energy, 3))
+            energy = (dbc.stats.energy_fj - energy_before) / 1000
+            span.annotate(cycles=cycles, energy_pj=energy)
             hub.pim_op(op, cycles, energy)
 
     def execute(self, instruction, deadline=None):

@@ -66,12 +66,7 @@ from repro.telemetry.profiler import (
     speedscope_document,
     tag_thread,
 )
-from repro.telemetry.runtime import (
-    activate,
-    activated,
-    active_hub,
-    deactivate,
-)
+from repro.telemetry.runtime import activated, active_hub
 from repro.telemetry.spans import (
     NULL_SPAN,
     NULL_TRACER,
@@ -110,12 +105,10 @@ __all__ = [
     "render_collapsed",
     "speedscope_document",
     "tag_thread",
-    "activate",
     "activated",
     "active_hub",
     "chrome_trace",
     "current_context",
-    "deactivate",
     "mint_request_id",
     "mint_span_id",
     "mint_trace_id",

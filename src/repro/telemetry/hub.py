@@ -2,24 +2,27 @@
 
 A :class:`TelemetryHub` is what ``CoruscantSystem(telemetry=...)`` wires
 through the device, arch, core, and resilience layers. Each layer calls
-the narrow publishing helpers here (``device_op``, ``memory_access``,
-``cpim_op``, ...) so instrument names and bucket edges stay consistent
-no matter who publishes.
+the narrow publishing helpers here (``memory_access``, ``cpim_op``, ...)
+so instrument names and bucket edges stay consistent no matter who
+publishes. The device layer publishes nothing: the hub sums the
+:class:`~repro.device.stats.DeviceStats` ledgers it claimed into the
+``device.*`` counters whenever its registry is read.
 
 Concurrency: the service/campaign/resilience hooks (``service_*``,
 ``shard_*``, ``resilient_op``, breaker transitions) are called from the
 gateway event loop, worker threads, and the campaign supervisor at
 request/attempt frequency, so they serialize their metric updates under
 one hub lock and mirror themselves into the structured event log. The
-device-layer hot paths (``device_op``, ``memory_access``, ``cpim_op``,
-...) run millions of times per kernel inside one simulator thread and
-stay lock-free.
+per-op hooks (``memory_access``, ``cpim_op``, ...) run inside one
+simulator thread and stay lock-free, as do ledger records: a reader
+copies the ledger list under the hub lock and each ledger dict with one
+``dict()`` call.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Union
 
 from repro.telemetry.chrome import chrome_trace, write_chrome_trace
 from repro.telemetry.events import EventLog
@@ -51,6 +54,10 @@ class TelemetryHub:
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self.events = EventLog() if events is None else events
         self._lock = threading.Lock()
+        # Claimed ledgers by id(), kept for the hub's lifetime so that
+        # dropping a device never makes a counter go down.
+        self._ledgers: Dict[int, Any] = {}
+        self.metrics.collect = self._device_counters
         # Dropped event-log records surface as a counter, not as an
         # event (emitting an event about a failed emit would recurse
         # straight back into the failing sink).
@@ -64,23 +71,57 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # device layer
 
-    def device_op(
-        self, op: str, cycles: int, energy_pj: float, count: int = 1
-    ) -> None:
-        """One :meth:`DeviceStats.record` call's worth of device activity.
+    def claim(self, ledger) -> None:
+        """Count ``ledger`` (a :class:`DeviceStats`) in ``device.*``.
 
-        Publishes totals plus per-op breakdowns; the per-op cycle and
-        energy counters are what the observability layer's hotspot table
-        (:func:`repro.obs.fidelity.extract_hotspots`) attributes costs
-        from.
+        A ledger has at most one hub: claiming takes it from the hub
+        that had it.
         """
-        m = self.metrics
-        m.counter("device.ops").inc(count)
-        m.counter(f"device.{op}.count").inc(count)
-        m.counter(f"device.{op}.cycles").inc(cycles)
-        m.counter(f"device.{op}.energy_pj").inc(energy_pj)
-        m.counter("device.cycles").inc(cycles)
-        m.counter("device.energy_pj").inc(energy_pj)
+        previous = ledger.hub
+        if previous is self:
+            return
+        if previous is not None:
+            with previous._lock:
+                del previous._ledgers[id(ledger)]
+        with self._lock:
+            self._ledgers[id(ledger)] = ledger
+        ledger.hub = self
+
+    def ledgers(self) -> List[Any]:
+        """The claimed ledgers, copied under the hub lock."""
+        with self._lock:
+            return list(self._ledgers.values())
+
+    def _device_counters(self) -> Dict[str, Union[int, float]]:
+        """``device.{ops,cycles,energy_pj}`` and per-op
+        ``device.<op>.{count,cycles,energy_pj}``, summed over the claimed
+        ledgers now. Totals are sums of the per-op values read, so they
+        agree even when a ledger records mid-read.
+        """
+        counts: Dict[str, int] = {}
+        cycles: Dict[str, int] = {}
+        energy_fj: Dict[str, int] = {}
+        for ledger in self.ledgers():
+            for total, part in (
+                (counts, dict(ledger.op_counts)),
+                (cycles, dict(ledger.op_cycles)),
+                (energy_fj, dict(ledger.op_energy_fj)),
+            ):
+                for op, value in part.items():
+                    total[op] = total.get(op, 0) + value
+        ops = {**counts, **cycles, **energy_fj}
+        if not ops:
+            return {}
+        device: Dict[str, Union[int, float]] = {
+            "device.ops": sum(counts.values()),
+            "device.cycles": sum(cycles.values()),
+            "device.energy_pj": sum(energy_fj.values()) / 1000,
+        }
+        for op in ops:
+            device[f"device.{op}.count"] = counts.get(op, 0)
+            device[f"device.{op}.cycles"] = cycles.get(op, 0)
+            device[f"device.{op}.energy_pj"] = energy_fj.get(op, 0) / 1000
+        return device
 
     # ------------------------------------------------------------------
     # memory controller / scheduler
@@ -137,10 +178,7 @@ class TelemetryHub:
             m.histogram(
                 "resilience.retry_depth", RETRY_DEPTH_BUCKETS
             ).observe(attempts)
-        if self.events.enabled:
-            self.events.emit(
-                "resilience.op", attempts=attempts, verdict=verdict
-            )
+        self.events.emit("resilience.op", attempts=attempts, verdict=verdict)
 
     def scrub_pass(
         self, dbcs_checked: int, misaligned: int, repaired: int, cycles: int
@@ -156,8 +194,7 @@ class TelemetryHub:
         with self._lock:
             self.metrics.counter("breaker.transitions").inc()
             self.metrics.counter(f"breaker.to_{dst.lower()}").inc()
-        if self.events.enabled:
-            self.events.emit("breaker.transition", src=src, dst=dst)
+        self.events.emit("breaker.transition", src=src, dst=dst)
 
     # ------------------------------------------------------------------
     # sharded campaign supervisor
@@ -181,23 +218,21 @@ class TelemetryHub:
             ).observe(wall_seconds)
             if status != "completed":
                 m.counter("campaign.shard_retries").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "campaign.shard_attempt",
-                shard=shard,
-                shard_id=shard,
-                status=status,
-                wall_seconds=wall_seconds,
-            )
+        self.events.emit(
+            "campaign.shard_attempt",
+            shard=shard,
+            shard_id=shard,
+            status=status,
+            wall_seconds=wall_seconds,
+        )
 
     def shard_incomplete(self, shard: int) -> None:
         """A shard exhausted its retries; the report degrades gracefully."""
         with self._lock:
             self.metrics.counter("campaign.incomplete_shards").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "campaign.shard_incomplete", shard=shard, shard_id=shard
-            )
+        self.events.emit(
+            "campaign.shard_incomplete", shard=shard, shard_id=shard
+        )
 
     # ------------------------------------------------------------------
     # kernel gateway (repro.service)
@@ -210,13 +245,12 @@ class TelemetryHub:
             m.counter("service.admitted").inc()
             m.counter(f"service.admitted.{priority}").inc()
             m.counter(f"service.{kernel}.admitted").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.admitted",
-                trace_id=trace_id,
-                kernel=kernel,
-                priority=priority,
-            )
+        self.events.emit(
+            "service.admitted",
+            trace_id=trace_id,
+            kernel=kernel,
+            priority=priority,
+        )
 
     def service_rejected(
         self, kernel: str, reason: str, trace_id: Optional[str] = None
@@ -226,13 +260,9 @@ class TelemetryHub:
             m = self.metrics
             m.counter("service.rejected").inc()
             m.counter(f"service.rejected.{reason}").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.rejected",
-                trace_id=trace_id,
-                kernel=kernel,
-                reason=reason,
-            )
+        self.events.emit(
+            "service.rejected", trace_id=trace_id, kernel=kernel, reason=reason
+        )
 
     def service_shed(
         self, kernel: str, stage: str, trace_id: Optional[str] = None
@@ -242,10 +272,9 @@ class TelemetryHub:
             m = self.metrics
             m.counter("service.shed").inc()
             m.counter(f"service.shed.{stage}").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.shed", trace_id=trace_id, kernel=kernel, stage=stage
-            )
+        self.events.emit(
+            "service.shed", trace_id=trace_id, kernel=kernel, stage=stage
+        )
 
     def service_retry(
         self, kernel: str, trace_id: Optional[str] = None
@@ -253,10 +282,7 @@ class TelemetryHub:
         with self._lock:
             self.metrics.counter("service.retries").inc()
             self.metrics.counter(f"service.{kernel}.retries").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.retry", trace_id=trace_id, kernel=kernel
-            )
+        self.events.emit("service.retry", trace_id=trace_id, kernel=kernel)
 
     def service_request(
         self,
@@ -276,14 +302,13 @@ class TelemetryHub:
             m.histogram(
                 f"service.{kernel}.request_seconds", REQUEST_SECONDS_BUCKETS
             ).observe(seconds)
-        if self.events.enabled:
-            self.events.emit(
-                "service.request.done",
-                trace_id=trace_id,
-                kernel=kernel,
-                status=status,
-                seconds=seconds,
-            )
+        self.events.emit(
+            "service.request.done",
+            trace_id=trace_id,
+            kernel=kernel,
+            status=status,
+            seconds=seconds,
+        )
 
     def service_queue_depth(
         self, profile: str, kernel: str, depth: int
@@ -307,13 +332,9 @@ class TelemetryHub:
             src=src,
             dst=dst,
         )
-        if self.events.enabled:
-            self.events.emit(
-                "service.breaker.transition",
-                profile=profile,
-                src=src,
-                dst=dst,
-            )
+        self.events.emit(
+            "service.breaker.transition", profile=profile, src=src, dst=dst
+        )
 
     def service_worker_crashed(
         self, profile: str, worker: int, trace_id: Optional[str] = None
@@ -323,13 +344,12 @@ class TelemetryHub:
             m = self.metrics
             m.counter("service.worker_crashes").inc()
             m.counter(f"service.worker_crashes.{profile}").inc()
-        if self.events.enabled:
-            self.events.emit(
-                "service.worker.crashed",
-                trace_id=trace_id,
-                profile=profile,
-                worker=worker,
-            )
+        self.events.emit(
+            "service.worker.crashed",
+            trace_id=trace_id,
+            profile=profile,
+            worker=worker,
+        )
 
     def journal_counts(self, counts: Dict[str, int]) -> None:
         """Mirror the request journal's counters into gauges."""
@@ -346,8 +366,7 @@ class TelemetryHub:
         """Un-acked intents re-submitted after a restart."""
         with self._lock:
             self.metrics.counter("journal.replays").inc(count)
-        if self.events.enabled:
-            self.events.emit("journal.replayed", count=count)
+        self.events.emit("journal.replayed", count=count)
 
     def service_drained(self, completed: int, dropped: int) -> None:
         """Drain accounting at shutdown: everything admitted must land."""
@@ -355,10 +374,9 @@ class TelemetryHub:
             m = self.metrics
             m.counter("service.drain.completed").inc(completed)
             m.counter("service.drain.dropped").inc(dropped)
-        if self.events.enabled:
-            self.events.emit(
-                "service.drained", completed=completed, dropped=dropped
-            )
+        self.events.emit(
+            "service.drained", completed=completed, dropped=dropped
+        )
 
     # ------------------------------------------------------------------
     # export

@@ -3,7 +3,9 @@
 The registry is the pull-based side of the telemetry subsystem: layers
 publish into named instruments as they run, and a campaign/CLI snapshot
 exports everything with :meth:`MetricsRegistry.as_dict` — always
-non-destructively (reading a metric never resets it).
+non-destructively (reading a metric never resets it). Counters another
+object already keeps (the hub's device ledgers) join the snapshot
+through :attr:`MetricsRegistry.collect` when it is read.
 
 Instrument naming follows a dotted ``layer.thing`` convention:
 ``device.cycles``, ``mem.row_hits``, ``cpim.tr_per_op``,
@@ -13,7 +15,7 @@ Instrument naming follows a dotted ``layer.thing`` convention:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -158,6 +160,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # Called by every as_dict(); adds to the counters it names.
+        self.collect: Optional[Callable[[], Dict[str, Number]]] = None
 
     # ------------------------------------------------------------------
 
@@ -209,10 +213,11 @@ class MetricsRegistry:
 
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-ready, non-destructive snapshot of every instrument."""
+        counters = {n: c.value for n, c in sorted(self._counters.items())}
+        for name, value in (self.collect() if self.collect else {}).items():
+            counters[name] = counters.get(name, 0) + value
         return {
-            "counters": {
-                name: c.value for name, c in sorted(self._counters.items())
-            },
+            "counters": dict(sorted(counters.items())),
             "gauges": {
                 name: g.value for name, g in sorted(self._gauges.items())
             },

@@ -388,7 +388,7 @@ def ledger_from_tracer(tracer) -> Dict[str, Dict[str, Any]]:
     def bill(trace_id: str) -> Dict[str, Any]:
         return ledger.setdefault(
             trace_id,
-            {"spans": 0, "sim_cycles": 0, "sim_energy_pj": 0.0},
+            {"spans": 0, "sim_cycles": 0, "sim_energy_pj": 0},
         )
 
     def visit(span, inherited: Optional[str], costed: bool) -> None:
@@ -400,8 +400,9 @@ def ledger_from_tracer(tracer) -> Dict[str, Dict[str, Any]]:
                 cycles = _numeric_attr(span, "cycles")
                 if cycles > 0:
                     entry["sim_cycles"] += int(cycles)
-                    entry["sim_energy_pj"] += _numeric_attr(
-                        span, "energy_pj"
+                    # Summed in whole fJ, as the device ledgers are.
+                    entry["sim_energy_pj"] += round(
+                        _numeric_attr(span, "energy_pj") * 1000
                     )
                     costed = True
         for child in span.children:
@@ -411,7 +412,7 @@ def ledger_from_tracer(tracer) -> Dict[str, Dict[str, Any]]:
         for root in tracer.roots:
             visit(root, None, False)
     for entry in ledger.values():
-        entry["sim_energy_pj"] = round(entry["sim_energy_pj"], 3)
+        entry["sim_energy_pj"] /= 1000
     return ledger
 
 

@@ -1,19 +1,18 @@
 """Process-wide active telemetry hub.
 
-Most wiring is explicit — ``CoruscantSystem(telemetry=hub)`` attaches
-the hub to the objects it owns. Experiment regenerators, however, build
-:class:`~repro.arch.dbc.DomainBlockCluster` objects internally with no
-injection point; for those, :func:`activated` installs a hub that
-:meth:`DeviceStats.record <repro.device.stats.DeviceStats.record>`
-consults whenever a stats object has no sink of its own::
+Most wiring is explicit — ``CoruscantSystem(telemetry=hub)`` claims the
+device ledgers of the clusters it uses. Experiment regenerators build
+:class:`~repro.arch.dbc.DomainBlockCluster` objects with no injection
+point; :func:`activated` scopes a hub that claims every
+:class:`~repro.device.stats.DeviceStats` created while it is active::
 
     hub = TelemetryHub()
     with activated(hub):
-        generate_report()          # every DBC built inside publishes
+        generate_report()          # every DBC built inside is counted
     hub.metrics_dict()
 
-When nothing is activated the cost is one module-global ``None`` check
-per record call.
+A system's own hub still claims the clusters it uses. Only creating a
+ledger looks here; recording does not.
 """
 
 from __future__ import annotations
@@ -24,18 +23,6 @@ from typing import Iterator, Optional
 _ACTIVE = None  # type: Optional[object]
 
 
-def activate(hub) -> None:
-    """Install ``hub`` as the process-wide default telemetry sink."""
-    global _ACTIVE
-    _ACTIVE = hub
-
-
-def deactivate() -> None:
-    """Remove the process-wide default sink."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def active_hub():
     """The currently installed hub, or ``None``."""
     return _ACTIVE
@@ -43,7 +30,7 @@ def active_hub():
 
 @contextmanager
 def activated(hub) -> Iterator[object]:
-    """Scope ``hub`` as the active sink, restoring the previous one."""
+    """Scope ``hub`` as the active hub, restoring the previous one."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = hub
@@ -53,4 +40,4 @@ def activated(hub) -> Iterator[object]:
         _ACTIVE = previous
 
 
-__all__ = ["activate", "activated", "active_hub", "deactivate"]
+__all__ = ["activated", "active_hub"]

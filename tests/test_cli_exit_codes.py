@@ -77,6 +77,15 @@ class TestExitUsage:
             # More shards than there is work to split.
             ["campaign", "--ops", "2", "--shards", "4"],
             ["mc", "--trials", "2", "--shards", "4"],
+            # More storage rows than the storage DBC has.
+            ["campaign", "--ops", "5", "--storage-rows", "100000"],
+            # Output files in a directory that does not exist.
+            ["trace", "add", "--out", "/nonexistent/dir/t.json"],
+            ["table1", "--metrics-json", "/nonexistent/dir/m.json"],
+            ["bench", "--no-history", "--bench-out", "/nonexistent/dir/b.json"],
+            ["profile", "table1", "--profile-out", "/nonexistent/dir/p.json"],
+            ["chaos", "--report-out", "/nonexistent/dir/r.json"],
+            ["profile", "table1", "--folded-out", "/nonexistent/dir/f.txt"],
         ],
     )
     def test_bad_invocations_exit_two(self, argv, capsys):

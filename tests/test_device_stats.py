@@ -7,16 +7,6 @@ from repro.telemetry import TelemetryHub, runtime
 import pytest
 
 
-class _RecordingSink:
-    """Minimal telemetry sink: records every device_op call."""
-
-    def __init__(self):
-        self.calls = []
-
-    def device_op(self, op, cycles, energy_pj, count):
-        self.calls.append((op, cycles, energy_pj, count))
-
-
 class TestDeviceStats:
     def test_record_accumulates(self):
         stats = DeviceStats()
@@ -127,16 +117,6 @@ class TestAsDict:
 
 
 class TestSinkPublishing:
-    def test_attached_sink_receives_every_record(self):
-        sink = _RecordingSink()
-        stats = DeviceStats(sink=sink)
-        stats.record("shift", 1, 0.5, count=4)
-        stats.record("tr", 2, 1.0)
-        assert sink.calls == [
-            ("shift", 4, 2.0, 4),
-            ("tr", 2, 1.0, 1),
-        ]
-
     def test_no_sink_no_publish(self):
         stats = DeviceStats()
         stats.record("shift", 1, 0.5)  # must not raise
@@ -144,21 +124,23 @@ class TestSinkPublishing:
 
     def test_active_hub_is_fallback_sink(self):
         hub = TelemetryHub()
-        stats = DeviceStats()
         with runtime.activated(hub):
-            stats.record("tr", 2, 1.0, count=3)
+            stats = DeviceStats()
+        stats.record("tr", 2, 1.0, count=3)
+        assert stats.hub is hub
         counters = hub.metrics.as_dict()["counters"]
         assert counters["device.tr.count"] == 3
         assert counters["device.cycles"] == 6
 
     def test_attached_sink_wins_over_active_hub(self):
-        sink = _RecordingSink()
-        hub = TelemetryHub()
-        stats = DeviceStats(sink=sink)
-        with runtime.activated(hub):
+        own, active = TelemetryHub(), TelemetryHub()
+        with runtime.activated(active):
+            stats = DeviceStats()
+            own.claim(stats)
             stats.record("read", 1, 0.4)
-        assert sink.calls == [("read", 1, 0.4, 1)]
-        assert hub.metrics.as_dict()["counters"] == {}
+        assert stats.hub is own
+        assert own.metrics.as_dict()["counters"]["device.read.count"] == 1
+        assert active.metrics.as_dict()["counters"] == {}
 
 
 class TestParameters:
@@ -180,3 +162,8 @@ class TestParameters:
             TimingEnergy(-1, 0.5)
         with pytest.raises(ValueError):
             TimingEnergy(1, -0.5)
+
+    def test_timing_energy_is_whole_femtojoules(self):
+        assert TimingEnergy(1, 1.245).energy_pj == 1.245
+        with pytest.raises(ValueError, match="whole number of fJ"):
+            TimingEnergy(1, 0.0005)

@@ -287,7 +287,26 @@ class TestCommittedJournal:
             self.CONFIG, checkpoint_path=path,
             checkpoint_every=5, stop_after=12,
         )
-        assert ckpt.load_checkpoint(path)["dbcs"] == recorded["dbcs"]
+        assert whole_fj(ckpt.load_checkpoint(path)["dbcs"]) == whole_fj(
+            recorded["dbcs"]
+        )
+
+
+def whole_fj(dbcs):
+    """The journal's DBC entries with energies as whole femtojoules.
+
+    The fixture's energies are float sums with the last bits of their
+    summation order; the ledger now sums whole fJ, so energies are
+    compared in fJ and every other field exactly.
+    """
+    out = json.loads(json.dumps(dbcs))
+    for _key, dbc in out:
+        stats = dbc["stats"]
+        stats["energy_pj"] = round(stats["energy_pj"] * 1000)
+        stats["op_energy_pj"] = {
+            op: round(pj * 1000) for op, pj in stats["op_energy_pj"].items()
+        }
+    return out
 
 
 class TestMonteCarloResume:

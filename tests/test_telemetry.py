@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.device.stats import DeviceStats
 from repro.telemetry import (
     NULL_SPAN,
     NULL_TRACER,
@@ -355,7 +356,9 @@ class TestChromeTrace:
 class TestTelemetryHub:
     def test_device_op_counters(self):
         hub = TelemetryHub()
-        hub.device_op("shift", cycles=3, energy_pj=0.6, count=3)
+        stats = DeviceStats()
+        hub.claim(stats)
+        stats.record("shift", cycles=1, energy_pj=0.2, count=3)
         counters = hub.metrics_dict()["counters"]
         assert counters["device.ops"] == 3
         assert counters["device.shift.count"] == 3
@@ -395,8 +398,10 @@ class TestTelemetryHub:
 
     def test_device_op_per_op_cycles_and_energy(self):
         hub = TelemetryHub()
-        hub.device_op("shift", cycles=3, energy_pj=0.6, count=3)
-        hub.device_op("transverse_read", cycles=2, energy_pj=0.1)
+        stats = DeviceStats()
+        hub.claim(stats)
+        stats.record("shift", cycles=1, energy_pj=0.2, count=3)
+        stats.record("transverse_read", cycles=2, energy_pj=0.1)
         counters = hub.metrics_dict()["counters"]
         assert counters["device.shift.cycles"] == 3
         assert counters["device.shift.energy_pj"] == pytest.approx(0.6)

@@ -58,7 +58,7 @@ class TestSystemWiring:
         assert system.telemetry is None
         dbc = system.pim_dbc()
         assert dbc.tracer is NULL_TRACER
-        assert dbc.stats.sink is None
+        assert dbc.stats.hub is None
         system.multiply(7, 9, n_bits=8)  # runs without recording anything
 
     def test_mult_span_tree_nested_with_costs(self):

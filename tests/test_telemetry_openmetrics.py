@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.device.stats import DeviceStats
 from repro.telemetry import (
     MetricsRegistry,
     OPENMETRICS_CONTENT_TYPE,
@@ -127,7 +128,9 @@ class TestRendering:
     def test_families_are_sorted_and_unique(self):
         hub = TelemetryHub()
         hub.service_admitted("add", "interactive")
-        hub.device_op("shift", 4, 0.6)
+        stats = DeviceStats()
+        hub.claim(stats)
+        stats.record("shift", 4, 0.6)
         text = render_openmetrics(hub.metrics)
         type_lines = [
             line for line in text.splitlines() if line.startswith("# TYPE")
